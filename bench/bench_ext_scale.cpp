@@ -1,16 +1,12 @@
 // Extension: hot-path scaling to high core counts (ISSUE 9).
 //
-// Two phases over one fixed shuffle workload (uint64 sum reduce_by_key):
-//   1. Scale sweep: shuffle throughput at 1 / 2 / 4 / 8 workers with every
-//      hot-path optimization on (batched wave submission + segment arenas
-//      + radix split). EVERY cell's result is digest-compared against the
-//      1-worker all-off reference — byte identity is the hard gate on
-//      every host, because the optimizations are only admissible as pure
-//      relocations under the (src, seq) merge-fold contract.
-//   2. Ablation at 8 workers: arena on/off x batched waves on/off, so a
-//      regression in either optimization shows up as a throughput delta
-//      while the digests prove all four configurations compute the same
-//      bytes.
+// Scale sweep over one fixed shuffle workload (uint64 sum reduce_by_key):
+// shuffle throughput at 1 / 2 / 4 / 8 workers on the engine's one hot path
+// (wave submission + segment arenas + radix split). EVERY cell's result is
+// digest-compared against a plain single-threaded fold of the records —
+// byte identity is the hard gate on every host, because the hot path is
+// only admissible as a pure relocation under the (src, seq) merge-fold
+// contract.
 //
 // Exit status (the CI quick-mode gate):
 //   * non-zero if ANY cell's digest deviates from the reference — always.
@@ -27,6 +23,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -58,15 +55,9 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> make_records(std::size_t n)
   return out;
 }
 
-// FNV-1a over the sorted (key, sum) pairs: one canonical digest per run,
-// cheap to compare across dozens of sweep cells.
-std::uint64_t digest(const engine::Dataset<std::pair<std::uint64_t, std::uint64_t>>& ds) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
-  for (std::size_t p = 0; p < ds.partitions(); ++p) {
-    const auto& part = ds.partition(p);
-    entries.insert(entries.end(), part.begin(), part.end());
-  }
-  std::sort(entries.begin(), entries.end());
+// FNV-1a over sorted (key, sum) pairs: one canonical digest per run,
+// cheap to compare across the sweep cells.
+std::uint64_t digest(const std::vector<std::pair<std::uint64_t, std::uint64_t>>& entries) {
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
     for (int b = 0; b < 8; ++b) {
@@ -82,18 +73,34 @@ std::uint64_t digest(const engine::Dataset<std::pair<std::uint64_t, std::uint64_
   return h;
 }
 
+std::uint64_t digest(const engine::Dataset<std::pair<std::uint64_t, std::uint64_t>>& ds) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
+  for (std::size_t p = 0; p < ds.partitions(); ++p) {
+    const auto& part = ds.partition(p);
+    entries.insert(entries.end(), part.begin(), part.end());
+  }
+  std::sort(entries.begin(), entries.end());
+  return digest(entries);
+}
+
+// The reference: the same sums folded on one thread, no engine.
+std::uint64_t reference_digest(
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& records) {
+  std::map<std::uint64_t, std::uint64_t> fold;
+  for (const auto& [k, v] : records) fold[k] += v;
+  return digest({fold.begin(), fold.end()});
+}
+
 struct RunResult {
   double best_s = 0.0;
   std::uint64_t digest = 0;
 };
 
 RunResult run_config(const std::vector<std::pair<std::uint64_t, std::uint64_t>>& records,
-                     std::size_t workers, bool arena, bool batched, int reps) {
+                     std::size_t workers, int reps) {
   engine::Engine::Options o;
   o.workers = workers;
   o.seed = 1;
-  o.shuffle_arena = arena;
-  o.batched_waves = batched;
   engine::Engine eng(o);
   const auto ds = eng.parallelize(records, kInputPartitions);
   const auto sum = [](std::uint64_t a, std::uint64_t b) { return a + b; };
@@ -132,16 +139,15 @@ int main(int argc, char** argv) {
   std::printf("  %zu records, %u hardware threads, best of %d reps\n\n", n, hardware,
               reps);
 
-  // Reference: 1 worker, every optimization OFF (the seed configuration).
-  const RunResult reference = run_config(records, 1, false, false, reps);
+  const std::uint64_t reference = reference_digest(records);
   bool identical = true;
   double base_s = 0.0;
   double eight_s = 0.0;
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                     std::size_t{8}}) {
-    const RunResult r = run_config(records, workers, true, true, reps);
-    const bool match = r.digest == reference.digest && r.digest != 0;
+    const RunResult r = run_config(records, workers, reps);
+    const bool match = r.digest == reference;
     identical = identical && match;
     if (workers == 1) base_s = r.best_s;
     if (workers == 8) eight_s = r.best_s;
@@ -165,36 +171,10 @@ int main(int argc, char** argv) {
     std::printf("BENCH %s\n", std::move(w).str().c_str());
   }
 
-  std::printf("\n");
-  for (const bool arena : {false, true}) {
-    for (const bool batched : {false, true}) {
-      const RunResult r = run_config(records, 8, arena, batched, reps);
-      const bool match = r.digest == reference.digest && r.digest != 0;
-      identical = identical && match;
-      std::printf("  ablation 8w %s %s: %7.1f ms, %10.0f records/s%s\n",
-                  arena ? "arena " : "heap  ", batched ? "waves " : "legacy",
-                  r.best_s * 1e3, static_cast<double>(n) / r.best_s,
-                  match ? "" : "  [BYTES DIVERGED]");
-      obs::JsonWriter w;
-      w.begin_object();
-      w.field("bench", "ext_scale");
-      w.field("phase", "ablation");
-      w.field("workers", std::uint64_t{8});
-      w.field("arena", arena ? std::uint64_t{1} : std::uint64_t{0});
-      w.field("batched_waves", batched ? std::uint64_t{1} : std::uint64_t{0});
-      w.field("hardware_concurrency", std::uint64_t{hardware});
-      w.field("best_s", r.best_s);
-      w.field("records_per_s", static_cast<double>(n) / r.best_s);
-      w.field("bytes_identical", match ? std::uint64_t{1} : std::uint64_t{0});
-      w.end_object();
-      std::printf("BENCH %s\n", std::move(w).str().c_str());
-    }
-  }
-
   const double scale8 = eight_s > 0.0 ? base_s / eight_s : 0.0;
   if (!identical) {
-    std::printf("\n  FAILED: a sweep cell deviated bytewise from the 1-worker "
-                "reference\n");
+    std::printf("\n  FAILED: a sweep cell deviated bytewise from the reference "
+                "fold\n");
     return 1;
   }
   if (hardware >= 8 && scale8 < 2.5) {
@@ -202,8 +182,8 @@ int main(int argc, char** argv) {
                 scale8, hardware);
     return 1;
   }
-  std::printf("\n  expectation: every cell byte-identical to the single-worker\n"
-              "  reference (hard gate); on hosts with >= 8 hardware threads the\n"
+  std::printf("\n  expectation: every cell byte-identical to the single-threaded\n"
+              "  reference fold (hard gate); on hosts with >= 8 hardware threads the\n"
               "  8-worker shuffle must clear 2.5x the single-worker throughput\n"
               "  (wall-clock gate, skipped on smaller hosts: %s).\n",
               hardware >= 8 ? "enforced here" : "skipped here");

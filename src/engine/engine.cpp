@@ -1,16 +1,17 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-
-#include "chaos/chaos.hpp"
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
+#include <exception>
 #include <future>
+#include <mutex>
 #include <numeric>
 #include <optional>
-#include <thread>
+
+#include "chaos/chaos.hpp"
 
 namespace dias::engine {
 
@@ -118,7 +119,6 @@ void Engine::attach_observability(obs::Registry* metrics, obs::Tracer* tracer) {
 }
 
 void Engine::reset_arenas() {
-  if (arenas_.empty()) return;
   double chunks = 0.0;
   double reserved = 0.0;
   std::uint64_t recycled = 0;
@@ -329,60 +329,248 @@ void Engine::run_stage(std::size_t n, const StageOptions& opts, EngineStageKind 
   // Stage-effective fault policy: a StagePlan may toggle speculation for
   // this stage only. Exactly-once body completion keeps the toggle
   // content-preserving, so plans may flip it freely.
-  FaultToleranceOptions eff_fault = options_.fault;
+  FaultToleranceOptions ft = options_.fault;
   if (opts.plan && opts.plan->speculate.has_value()) {
-    eff_fault.speculation = *opts.plan->speculate;
+    ft.speculation = *opts.plan->speculate;
   }
 
   const CancellationToken* cancel = cancel_token();
-  // An armed chaos plane may fail or stall any task body, so the run needs
-  // the fault-tolerant path's absorption machinery even when the policy
-  // itself is inert. Disarmed cost: one relaxed load.
-  const bool chaos_armed = chaos::ChaosPlane::instance().armed();
+  // An armed chaos plane may fail or stall any task body, so the stage
+  // absorbs failures even when the policy itself is inert. Disarmed cost:
+  // one relaxed load. Without either, a body's exception is the stage's.
+  const bool tolerant = ft.active() || chaos::ChaosPlane::instance().armed();
+  // Injection may be scoped to droppable stages; retry/speculation still
+  // guard against genuine (user-code) failures on immune stages.
+  const bool inject = !(ft.injection.droppable_only && !opts.droppable);
+  // Chaos engine.task point: fires per attempt alongside the injector,
+  // with the same scheduling-independent coordinates.
+  static chaos::InjectionPoint& chaos_task =
+      chaos::ChaosPlane::instance().point(chaos::points::kEngineTask);
+  const auto cancel_requested = [cancel] {
+    return cancel != nullptr && cancel->cancelled();
+  };
+  const auto now_ns = [] {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  };
   const auto stage_start = std::chrono::steady_clock::now();
-  if (!eff_fault.active() && !chaos_armed) {
-    if (cancel == nullptr) {
-      // Legacy zero-overhead path: no retry bookkeeping, no per-task state.
-      info.executed_partitions = selected.size();
-      info.attempts = selected.size();
-      info.task_times_s.assign(selected.size(), 0.0);
-      pool_.run_indexed(selected.size(), [&](std::size_t i) {
-        const auto task_start = std::chrono::steady_clock::now();
-        body(selected[i]);
-        const auto task_end = std::chrono::steady_clock::now();
-        info.task_times_s[i] = std::chrono::duration<double>(task_end - task_start).count();
-      });
-      info.executed_partition_ids = std::move(selected);
-    } else {
-      // Cancellable variant: each index is executed by exactly one lane, so
-      // the per-index completion flags need no synchronization beyond the
-      // pool join. Abandoned indices are neither executed nor failed.
-      std::vector<char> done(selected.size(), 0);
-      std::vector<double> times(selected.size(), 0.0);
-      pool_.run_indexed(
-          selected.size(),
-          [&](std::size_t i) {
-            const auto task_start = std::chrono::steady_clock::now();
-            body(selected[i]);
-            const auto task_end = std::chrono::steady_clock::now();
-            times[i] = std::chrono::duration<double>(task_end - task_start).count();
-            done[i] = 1;
-          },
-          cancel);
-      for (std::size_t i = 0; i < selected.size(); ++i) {
-        if (done[i] != 0) {
-          info.executed_partition_ids.push_back(selected[i]);
-          info.task_times_s.push_back(times[i]);
-        } else {
-          ++info.cancelled_partitions;
+
+  // Per-task state shared between the primary attempt loop and an optional
+  // speculative copy. `exec_mu` serializes body execution so a partition's
+  // body can never complete twice: the first copy through wins, the loser
+  // observes `done` and backs off.
+  struct TaskState {
+    std::mutex exec_mu;
+    std::atomic<bool> done{false};              // body completed successfully
+    std::atomic<bool> primary_finished{false};  // primary loop returned
+    std::atomic<int> attempts{0};               // all copies
+    std::atomic<int> primary_attempts{0};
+    std::atomic<bool> spec_launched{false};
+    std::atomic<bool> spec_won{false};
+    std::atomic<bool> failed{false};            // primary exhausted its budget
+    // steady_clock ns of the current primary attempt's start; -1 before the
+    // first attempt. The stall watchdog measures elapsed time against it.
+    std::atomic<std::int64_t> attempt_start_ns{-1};
+    double task_time_s = 0.0;                   // winner's time, under exec_mu
+  };
+  const std::size_t n_sel = selected.size();
+  std::vector<TaskState> tasks(n_sel);
+
+  std::mutex progress_mu;
+  std::condition_variable progress_cv;
+  std::size_t primaries_done = 0;
+  std::size_t succeeded = 0;
+
+  // Runs the body for task `idx` unless another copy already completed it.
+  // Throws whatever the body throws; the caller accounts a failed attempt.
+  auto execute_body = [&](std::size_t idx, bool speculative) {
+    TaskState& st = tasks[idx];
+    std::lock_guard guard(st.exec_mu);
+    if (st.done.load(std::memory_order_acquire)) return;
+    const auto t0 = std::chrono::steady_clock::now();
+    body(selected[idx]);
+    const auto t1 = std::chrono::steady_clock::now();
+    st.task_time_s = std::chrono::duration<double>(t1 - t0).count();
+    if (speculative) st.spec_won.store(true, std::memory_order_relaxed);
+    st.done.store(true, std::memory_order_release);
+    {
+      std::lock_guard plock(progress_mu);
+      ++succeeded;
+    }
+    progress_cv.notify_all();
+  };
+
+  // The wave's per-index body: the primary attempt loop. Under the inert
+  // policy it is one attempt whose exception propagates unchanged.
+  auto primary = [&](std::size_t idx) {
+    TaskState& st = tasks[idx];
+    const std::size_t part = selected[idx];
+    const double delay_ms = inject ? injector_.straggler_delay_ms(stage_seq, part) : 0.0;
+    for (int attempt = 1; attempt <= ft.max_attempts; ++attempt) {
+      if (st.done.load(std::memory_order_acquire)) break;  // speculation won
+      // Cancellation point between attempts: an abandoned task is neither
+      // done nor failed, and is classified as cancelled after the join.
+      if (cancel_requested()) break;
+      st.attempts.fetch_add(1, std::memory_order_relaxed);
+      st.primary_attempts.fetch_add(1, std::memory_order_relaxed);
+      st.attempt_start_ns.store(now_ns(), std::memory_order_relaxed);
+      if (delay_ms > 0.0) {
+        interruptible_sleep_ms(delay_ms, st.done, cancel);
+        if (st.done.load(std::memory_order_acquire) || cancel_requested()) break;
+      }
+      bool attempt_failed = inject && injector_.should_fail(stage_seq, part, attempt);
+      if (!attempt_failed && chaos_task.armed()) {
+        try {
+          // kThrow is absorbed here like an injected fault; kStall sleeps
+          // (bounded, cancel-aware) and leaves the attempt healthy, so the
+          // watchdog — not the retry budget — is what rescues a stalled task.
+          chaos_task.inject(stage_seq, part, static_cast<std::uint64_t>(attempt),
+                            cancel);
+        } catch (const chaos::ChaosError&) {
+          attempt_failed = true;
         }
       }
-      info.executed_partitions = info.executed_partition_ids.size();
-      info.attempts = info.executed_partitions;
+      if (!attempt_failed) {
+        try {
+          execute_body(idx, /*speculative=*/false);
+          break;  // the partition is complete (by us or a faster copy)
+        } catch (...) {
+          if (!tolerant) throw;
+          // User-code failure: retried exactly like an injected fault. The
+          // body must be idempotent (see run_stage contract).
+          attempt_failed = true;
+        }
+      }
+      if (attempt == ft.max_attempts) {
+        st.failed.store(true, std::memory_order_release);
+      } else {
+        const double backoff = backoff_delay_ms(ft, stage_seq, part, attempt);
+        if (backoff > 0.0) interruptible_sleep_ms(backoff, st.done, cancel);
+      }
     }
-  } else {
-    run_stage_fault_tolerant(selected, opts, info, stage_seq, eff_fault, body);
+    st.primary_finished.store(true, std::memory_order_release);
+    {
+      std::lock_guard plock(progress_mu);
+      ++primaries_done;
+    }
+    progress_cv.notify_all();
+  };
+
+  // A speculative copy models re-execution on a healthy node: no injected
+  // fault, no straggler delay, single attempt. Copies are the only tasks a
+  // stage submits outside its wave.
+  std::vector<std::future<void>> copies;
+  auto speculative = [&](std::size_t idx) {
+    TaskState& st = tasks[idx];
+    if (st.done.load(std::memory_order_acquire) || cancel_requested()) return;
+    st.attempts.fetch_add(1, std::memory_order_relaxed);
+    try {
+      execute_body(idx, /*speculative=*/true);
+    } catch (...) {
+      // Copy died on user code; the primary keeps retrying (or already
+      // declared the task dead).
+    }
+  };
+  // At most one copy per task, launched only while its primary is still
+  // in flight.
+  auto launch_copy = [&](std::size_t i) {
+    TaskState& st = tasks[i];
+    if (st.done.load(std::memory_order_acquire) ||
+        st.primary_finished.load(std::memory_order_acquire) ||
+        st.spec_launched.load(std::memory_order_relaxed)) {
+      return;
+    }
+    st.spec_launched.store(true, std::memory_order_relaxed);
+    copies.push_back(pool_.submit([&speculative, i] { speculative(i); }));
+  };
+
+  // The wave's monitor, run on the waiting thread: quantile speculation
+  // (Spark-style tail copies once the quantile of tasks succeeded) and the
+  // stall watchdog (an immediate copy for any task whose current attempt
+  // exceeds the stall threshold) share one 5 ms ticker. Exactly-once body
+  // completion makes both launches content-preserving, so their timing
+  // never changes result bytes.
+  std::function<bool()> monitor;
+  if (ft.speculation || ft.stall_watchdog) {
+    const auto threshold = std::min(
+        n_sel, static_cast<std::size_t>(std::ceil(
+                   ft.speculation_quantile * static_cast<double>(n_sel) - 1e-12)));
+    monitor = [&, threshold, quantile_fired = !ft.speculation]() mutable {
+      std::size_t done_now = 0;
+      std::size_t succ_now = 0;
+      {
+        std::unique_lock lock(progress_mu);
+        progress_cv.wait_for(lock, std::chrono::milliseconds(5), [&] {
+          return primaries_done == n_sel || (!quantile_fired && succeeded >= threshold);
+        });
+        done_now = primaries_done;
+        succ_now = succeeded;
+      }
+      if (!quantile_fired && succ_now >= threshold) {
+        quantile_fired = true;
+        for (std::size_t i = 0; i < n_sel; ++i) launch_copy(i);
+      }
+      if (ft.stall_watchdog) {
+        // Live threshold: the larger of the absolute floor and a multiple
+        // of the observed task-time p95 (cold or detached histograms
+        // contribute nothing, leaving the floor). A slow-but-uniform stage
+        // raises its own bar; a wedged outlier trips it.
+        double stall_ms = ft.stall_threshold_ms;
+        if (obs_.task_time_s != nullptr && ft.stall_p95_multiplier > 0.0) {
+          const auto hstats = obs_.task_time_s->stats();
+          if (hstats.count > 0) {
+            stall_ms = std::max(stall_ms, ft.stall_p95_multiplier * hstats.p95 * 1e3);
+          }
+        }
+        if (stall_ms > 0.0) {
+          const std::int64_t now = now_ns();
+          for (std::size_t i = 0; i < n_sel; ++i) {
+            const std::int64_t t0 = tasks[i].attempt_start_ns.load(std::memory_order_relaxed);
+            if (t0 < 0) continue;
+            if (static_cast<double>(now - t0) * 1e-6 >= stall_ms) launch_copy(i);
+          }
+        }
+      }
+      // Without the watchdog nothing is left to watch once the quantile
+      // pass fired.
+      return done_now < n_sel && (!quantile_fired || ft.stall_watchdog);
+    };
   }
+
+  std::exception_ptr wave_error;
+  try {
+    pool_.run_indexed(n_sel, primary, cancel, monitor);
+  } catch (...) {
+    wave_error = std::current_exception();
+  }
+  // Copies swallow their own failures; join them before the task state
+  // they borrow goes out of scope.
+  for (auto& f : copies) f.get();
+  if (wave_error) std::rethrow_exception(wave_error);
+
+  info.executed_partition_ids.reserve(n_sel);
+  info.task_times_s.reserve(n_sel);
+  for (std::size_t i = 0; i < n_sel; ++i) {
+    TaskState& st = tasks[i];
+    info.attempts += static_cast<std::size_t>(st.attempts.load(std::memory_order_relaxed));
+    const int primary_attempts = st.primary_attempts.load(std::memory_order_relaxed);
+    if (primary_attempts > 1) info.retries += static_cast<std::size_t>(primary_attempts - 1);
+    if (st.spec_launched.load(std::memory_order_relaxed)) ++info.speculative_launched;
+    if (st.spec_won.load(std::memory_order_relaxed)) ++info.speculative_wins;
+    if (st.done.load(std::memory_order_acquire)) {
+      // `selected` is sorted, so the executed ids come out sorted too.
+      info.executed_partition_ids.push_back(selected[i]);
+      info.task_times_s.push_back(st.task_time_s);
+    } else if (st.failed.load(std::memory_order_acquire)) {
+      info.failed_partition_ids.push_back(selected[i]);
+    } else {
+      // Neither completed nor out of budget: the cancellation token fired
+      // and the task was abandoned.
+      ++info.cancelled_partitions;
+    }
+  }
+  info.executed_partitions = info.executed_partition_ids.size();
   const auto stage_end = std::chrono::steady_clock::now();
   info.duration_s = std::chrono::duration<double>(stage_end - stage_start).count();
   // An empty stage (n == 0) effectively dropped nothing; see StageInfo.
@@ -430,242 +618,6 @@ void Engine::run_stage(std::size_t n, const StageOptions& opts, EngineStageKind 
   stage_log_.push_back(std::move(info));
   if (was_cancelled) throw JobCancelledError("stage '" + opts.name + "'");
   if (fatal) throw *fatal;
-}
-
-void Engine::run_stage_fault_tolerant(const std::vector<std::size_t>& selected,
-                                      const StageOptions& opts, StageInfo& info,
-                                      std::uint64_t stage_seq,
-                                      const FaultToleranceOptions& ft,
-                                      const std::function<void(std::size_t)>& body) {
-  const std::size_t n_sel = selected.size();
-  const CancellationToken* cancel = cancel_token();
-  // Injection may be scoped to droppable stages; retry/speculation still
-  // guard against genuine (user-code) failures on immune stages.
-  const bool inject = !(ft.injection.droppable_only && !opts.droppable);
-  // Chaos engine.task point: fires per attempt alongside the injector,
-  // with the same scheduling-independent coordinates.
-  static chaos::InjectionPoint& chaos_task =
-      chaos::ChaosPlane::instance().point(chaos::points::kEngineTask);
-  const auto cancel_requested = [cancel] {
-    return cancel != nullptr && cancel->cancelled();
-  };
-
-  // Per-task shared state between the primary attempt loop and an optional
-  // speculative copy. `exec_mu` serializes body execution so a partition's
-  // body can never complete twice: the first copy through wins, the loser
-  // observes `done` and backs off.
-  struct TaskState {
-    std::mutex exec_mu;
-    std::atomic<bool> done{false};              // body completed successfully
-    std::atomic<bool> primary_finished{false};  // primary loop returned
-    std::atomic<int> attempts{0};               // all copies
-    std::atomic<int> primary_attempts{0};
-    std::atomic<bool> spec_launched{false};
-    std::atomic<bool> spec_won{false};
-    std::atomic<bool> failed{false};            // primary exhausted its budget
-    // steady_clock ns of the current primary attempt's start; -1 before the
-    // first attempt. The stall watchdog measures elapsed time against it.
-    std::atomic<std::int64_t> attempt_start_ns{-1};
-    double task_time_s = 0.0;                   // winner's time, under exec_mu
-  };
-  std::vector<TaskState> tasks(n_sel);
-
-  std::mutex progress_mu;
-  std::condition_variable progress_cv;
-  std::size_t primaries_done = 0;
-  std::size_t succeeded = 0;
-
-  // Runs the body for task `idx` unless another copy already completed it.
-  // Throws whatever the body throws; the caller accounts a failed attempt.
-  auto execute_body = [&](std::size_t idx, bool speculative) {
-    TaskState& st = tasks[idx];
-    std::lock_guard guard(st.exec_mu);
-    if (st.done.load(std::memory_order_acquire)) return;
-    const auto t0 = std::chrono::steady_clock::now();
-    body(selected[idx]);
-    const auto t1 = std::chrono::steady_clock::now();
-    st.task_time_s = std::chrono::duration<double>(t1 - t0).count();
-    if (speculative) st.spec_won.store(true, std::memory_order_relaxed);
-    st.done.store(true, std::memory_order_release);
-    {
-      std::lock_guard plock(progress_mu);
-      ++succeeded;
-    }
-    progress_cv.notify_all();
-  };
-
-  auto primary = [&](std::size_t idx) {
-    TaskState& st = tasks[idx];
-    const std::size_t part = selected[idx];
-    const double delay_ms = inject ? injector_.straggler_delay_ms(stage_seq, part) : 0.0;
-    for (int attempt = 1; attempt <= ft.max_attempts; ++attempt) {
-      if (st.done.load(std::memory_order_acquire)) break;  // speculation won
-      // Cancellation point between attempts: an abandoned task is neither
-      // done nor failed, and is classified as cancelled after the join.
-      if (cancel_requested()) break;
-      st.attempts.fetch_add(1, std::memory_order_relaxed);
-      st.primary_attempts.fetch_add(1, std::memory_order_relaxed);
-      st.attempt_start_ns.store(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count(),
-          std::memory_order_relaxed);
-      if (delay_ms > 0.0) interruptible_sleep_ms(delay_ms, st.done, cancel);
-      if (st.done.load(std::memory_order_acquire) || cancel_requested()) break;
-      bool attempt_failed = inject && injector_.should_fail(stage_seq, part, attempt);
-      if (!attempt_failed && chaos_task.armed()) {
-        try {
-          // kThrow is absorbed here like an injected fault; kStall sleeps
-          // (bounded, cancel-aware) and leaves the attempt healthy, so the
-          // watchdog — not the retry budget — is what rescues a stalled task.
-          chaos_task.inject(stage_seq, part, static_cast<std::uint64_t>(attempt),
-                            cancel);
-        } catch (const chaos::ChaosError&) {
-          attempt_failed = true;
-        }
-      }
-      if (!attempt_failed) {
-        try {
-          execute_body(idx, /*speculative=*/false);
-          break;  // the partition is complete (by us or a faster copy)
-        } catch (...) {
-          // User-code failure: retried exactly like an injected fault. The
-          // body must be idempotent (see run_stage contract).
-          attempt_failed = true;
-        }
-      }
-      if (attempt == ft.max_attempts) {
-        st.failed.store(true, std::memory_order_release);
-      } else {
-        const double backoff = backoff_delay_ms(ft, stage_seq, part, attempt);
-        if (backoff > 0.0) interruptible_sleep_ms(backoff, st.done, cancel);
-      }
-    }
-    st.primary_finished.store(true, std::memory_order_release);
-    {
-      std::lock_guard plock(progress_mu);
-      ++primaries_done;
-    }
-    progress_cv.notify_all();
-  };
-
-  // A speculative copy models re-execution on a healthy node: no injected
-  // fault, no straggler delay, single attempt.
-  auto speculative = [&](std::size_t idx) {
-    TaskState& st = tasks[idx];
-    if (st.done.load(std::memory_order_acquire) || cancel_requested()) return;
-    st.attempts.fetch_add(1, std::memory_order_relaxed);
-    try {
-      execute_body(idx, /*speculative=*/true);
-    } catch (...) {
-      // Copy died on user code; the primary keeps retrying (or already
-      // declared the task dead).
-    }
-  };
-
-  std::vector<std::future<void>> futures;
-  futures.reserve(n_sel);
-  for (std::size_t i = 0; i < n_sel; ++i) {
-    futures.push_back(pool_.submit([&primary, i] { primary(i); }));
-  }
-
-  if ((ft.speculation || ft.stall_watchdog) && n_sel > 0) {
-    // Monitor loop: quantile speculation (Spark-style tail copies once the
-    // quantile of tasks succeeded) and the stall watchdog (an immediate
-    // copy for any task whose current attempt exceeds the stall threshold)
-    // share one ticker. Exactly-once body completion makes both launches
-    // content-preserving, so their timing never changes result bytes.
-    const auto threshold = std::min(
-        n_sel, static_cast<std::size_t>(std::ceil(
-                   ft.speculation_quantile * static_cast<double>(n_sel) - 1e-12)));
-    const auto now_ns = [] {
-      return std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-          .count();
-    };
-    // At most one copy per task, launched only while its primary is still
-    // in flight — the same rule the one-shot quantile pass always applied.
-    auto launch_copy = [&](std::size_t i) {
-      TaskState& st = tasks[i];
-      if (st.done.load(std::memory_order_acquire) ||
-          st.primary_finished.load(std::memory_order_acquire) ||
-          st.spec_launched.load(std::memory_order_relaxed)) {
-        return;
-      }
-      st.spec_launched.store(true, std::memory_order_relaxed);
-      futures.push_back(pool_.submit([&speculative, i] { speculative(i); }));
-    };
-    bool quantile_fired = !ft.speculation;
-    while (true) {
-      std::size_t done_now = 0;
-      std::size_t succ_now = 0;
-      {
-        std::unique_lock lock(progress_mu);
-        progress_cv.wait_for(lock, std::chrono::milliseconds(5), [&] {
-          return primaries_done == n_sel ||
-                 (!quantile_fired && succeeded >= threshold);
-        });
-        done_now = primaries_done;
-        succ_now = succeeded;
-      }
-      if (!quantile_fired && succ_now >= threshold) {
-        quantile_fired = true;
-        for (std::size_t i = 0; i < n_sel; ++i) launch_copy(i);
-      }
-      if (ft.stall_watchdog) {
-        // Live threshold: the larger of the absolute floor and a multiple
-        // of the observed task-time p95 (cold or detached histograms
-        // contribute nothing, leaving the floor). A slow-but-uniform stage
-        // raises its own bar; a wedged outlier trips it.
-        double stall_ms = ft.stall_threshold_ms;
-        if (obs_.task_time_s != nullptr && ft.stall_p95_multiplier > 0.0) {
-          const auto hstats = obs_.task_time_s->stats();
-          if (hstats.count > 0) {
-            stall_ms = std::max(stall_ms, ft.stall_p95_multiplier * hstats.p95 * 1e3);
-          }
-        }
-        if (stall_ms > 0.0) {
-          const std::int64_t now = now_ns();
-          for (std::size_t i = 0; i < n_sel; ++i) {
-            const std::int64_t t0 =
-                tasks[i].attempt_start_ns.load(std::memory_order_relaxed);
-            if (t0 < 0) continue;
-            if (static_cast<double>(now - t0) * 1e-6 >= stall_ms) launch_copy(i);
-          }
-        }
-      }
-      if (done_now == n_sel) break;
-      // Without the watchdog there is nothing left to monitor after the
-      // quantile pass fired — preserve the one-shot behaviour exactly.
-      if (quantile_fired && !ft.stall_watchdog) break;
-    }
-  }
-  // Task-level errors were consumed by the attempt loops; anything escaping
-  // here is an engine bug and propagates.
-  for (auto& f : futures) f.get();
-
-  info.executed_partition_ids.reserve(n_sel);
-  info.task_times_s.reserve(n_sel);
-  for (std::size_t i = 0; i < n_sel; ++i) {
-    TaskState& st = tasks[i];
-    info.attempts += static_cast<std::size_t>(st.attempts.load(std::memory_order_relaxed));
-    const int primary_attempts = st.primary_attempts.load(std::memory_order_relaxed);
-    if (primary_attempts > 1) info.retries += static_cast<std::size_t>(primary_attempts - 1);
-    if (st.spec_launched.load(std::memory_order_relaxed)) ++info.speculative_launched;
-    if (st.spec_won.load(std::memory_order_relaxed)) ++info.speculative_wins;
-    if (st.done.load(std::memory_order_acquire)) {
-      // `selected` is sorted, so the executed ids come out sorted too.
-      info.executed_partition_ids.push_back(selected[i]);
-      info.task_times_s.push_back(st.task_time_s);
-    } else if (st.failed.load(std::memory_order_acquire)) {
-      info.failed_partition_ids.push_back(selected[i]);
-    } else {
-      // Neither completed nor out of budget: the cancellation token fired
-      // and the attempt loop abandoned the task.
-      ++info.cancelled_partitions;
-    }
-  }
-  info.executed_partitions = info.executed_partition_ids.size();
 }
 
 }  // namespace dias::engine

@@ -133,11 +133,11 @@ namespace detail {
 
 // Wraps one spill I/O operation inside a stage body. Backend failures
 // (any dias::error) become TaskFailedError for this stage/partition, so
-// the fault-tolerant path retries them like any task failure and the
-// legacy path surfaces them as a failed task — while cancellation and
+// a fault-tolerant policy retries them like any task failure and the
+// inert policy surfaces them as a failed task — while cancellation and
 // already-classified task failures pass through untouched. Inactive
 // (shuffle without a backend) it is a transparent call, keeping the
-// legacy shuffle exception-for-exception identical.
+// resident shuffle exception-for-exception identical.
 template <typename Fn>
 decltype(auto) guard_spill_io(bool active, const std::string& stage, std::size_t partition,
                               Fn&& fn) {
@@ -168,52 +168,32 @@ class Engine {
     // theta == 1 drops every task of a droppable stage — the fully
     // degraded extreme that failed-task degradation can also reach.
     double drop_ratio = 0.0;
-    // Fault injection + retry/speculation/degradation policy. The default
-    // (no injection, 1 attempt, no speculation) keeps run_stage on the
-    // legacy zero-overhead path.
+    // Fault injection + retry/speculation/degradation policy. Every stage
+    // runs as one thread-pool wave whose per-index body is the attempt
+    // loop; the default (no injection, 1 attempt, no speculation) makes
+    // that one attempt with no monitor, and a body's exception propagates
+    // unchanged instead of degrading the task.
     FaultToleranceOptions fault;
-    // --- hot-path scaling knobs (ISSUE 9) ---------------------------------
-    // Both default on; outputs are byte-identical either way (the scale
-    // determinism battery sweeps the off settings), so the only reason to
-    // disable them is A/B measurement.
-    // Batched wave submission: run_indexed enqueues one wave descriptor
-    // per stage instead of one packaged lane per worker slot.
-    bool batched_waves = true;
-    // Per-worker-slot bump arenas backing shuffle segment storage,
-    // recycled at each shuffle's epoch boundary. A pure relocation: same
-    // bytes, same (src, seq) order, no malloc churn.
-    bool shuffle_arena = true;
-    // --- spill circuit breaker (ISSUE 10) ---------------------------------
-    // Governs every spill write of this engine (see SpillBreaker): after
+    // Spill circuit breaker thresholds. The breaker governs every spill
+    // write of this engine (see SpillBreaker): after
     // `spill_breaker.failure_threshold` consecutive backend failures the
     // shuffle trips to the in-memory fallback instead of burning task
-    // attempts on a dead disk. `spill_breaker_enabled = false` restores
-    // the PR 6 semantics (write failures surface as TaskFailedError).
-    bool spill_breaker_enabled = true;
+    // attempts on a dead disk. Shuffle segments always live in per-slot
+    // arenas recycled at each shuffle's epoch boundary.
     SpillBreaker::Options spill_breaker;
   };
 
   explicit Engine(Options options)
       : options_(options),
-        pool_(options.workers, options.reserve_workers, options.batched_waves),
+        pool_(options.workers, options.reserve_workers),
         rng_(options.seed), injector_(options.fault.injection),
         spill_breaker_(options.spill_breaker) {
     DIAS_EXPECTS(options.drop_ratio >= 0.0 && options.drop_ratio <= 1.0,
                  "drop ratio must be in [0,1]");
-    DIAS_EXPECTS(options.fault.max_attempts >= 1, "need at least one attempt per task");
-    DIAS_EXPECTS(options.fault.retry_backoff_ms >= 0.0, "retry backoff must be >= 0");
-    DIAS_EXPECTS(options.fault.speculation_quantile > 0.0 &&
-                     options.fault.speculation_quantile <= 1.0,
-                 "speculation quantile must be in (0,1]");
-    DIAS_EXPECTS(options.fault.retry_backoff_cap_ms >= 0.0 &&
-                     options.fault.stall_threshold_ms >= 0.0 &&
-                     options.fault.stall_p95_multiplier >= 0.0,
-                 "backoff cap and stall thresholds must be >= 0");
-    if (options.shuffle_arena) {
-      arenas_.reserve(pool_.workers());
-      for (std::size_t i = 0; i < pool_.workers(); ++i) {
-        arenas_.push_back(std::make_unique<detail::SegmentArena>());
-      }
+    options.fault.validate();
+    arenas_.reserve(pool_.workers());
+    for (std::size_t i = 0; i < pool_.workers(); ++i) {
+      arenas_.push_back(std::make_unique<detail::SegmentArena>());
     }
   }
 
@@ -230,13 +210,7 @@ class Engine {
   // effect from the next stage; the stage sequence counter keeps running so
   // injection stays deterministic for a fixed call sequence.
   void set_fault_options(const FaultToleranceOptions& fault) {
-    DIAS_EXPECTS(fault.max_attempts >= 1, "need at least one attempt per task");
-    DIAS_EXPECTS(fault.retry_backoff_ms >= 0.0, "retry backoff must be >= 0");
-    DIAS_EXPECTS(fault.speculation_quantile > 0.0 && fault.speculation_quantile <= 1.0,
-                 "speculation quantile must be in (0,1]");
-    DIAS_EXPECTS(fault.retry_backoff_cap_ms >= 0.0 && fault.stall_threshold_ms >= 0.0 &&
-                     fault.stall_p95_multiplier >= 0.0,
-                 "backoff cap and stall thresholds must be >= 0");
+    fault.validate();
     options_.fault = fault;
     injector_ = FaultInjector(fault.injection);
   }
@@ -245,12 +219,12 @@ class Engine {
   // --- cooperative cancellation -------------------------------------------
   // Installs the token subsequent stages poll: checked once on stage entry
   // and then between partitions (every lane re-checks before stealing its
-  // next index; the fault-tolerant path also checks between attempts and
-  // inside backoff/straggler sleeps). Once the token fires, the in-flight
+  // next index; the attempt loop also checks between attempts and inside
+  // backoff/straggler sleeps). Once the token fires, the in-flight
   // task bodies finish, the rest of the stage is abandoned, the stage is
   // logged with `cancelled` accounting, and run_stage raises
   // JobCancelledError — releasing the pool for the next job. Detached (the
-  // default) the stage paths are byte-identical to before this feature.
+  // default) no stage ever polls a token.
   // Not thread-safe against a concurrently running stage: the dispatcher
   // installs the job's token before invoking the job body.
   void set_cancellation(CancellationToken token) { cancel_ = std::move(token); }
@@ -784,6 +758,9 @@ class Engine {
 
  private:
   // Runs one stage over `n` partitions, applying dropping when allowed.
+  // The kept partitions run as exactly one pool wave whose per-index body
+  // is the attempt loop (retry, backoff, injection); speculation and the
+  // stall watchdog run as the wave's monitor on the calling thread.
   //
   // Stage bodies must be idempotent per partition: under retry or
   // speculation a body may be invoked again for the same partition after a
@@ -791,15 +768,6 @@ class Engine {
   // exactly-once — a partition's body never *completes* twice).
   void run_stage(std::size_t n, const StageOptions& opts, EngineStageKind kind,
                  const std::function<void(std::size_t)>& body);
-
-  // The fault-tolerant execution loop (retry + speculation + degradation).
-  // `ft` is the stage-effective policy: options_.fault with any StagePlan
-  // speculation override already applied.
-  void run_stage_fault_tolerant(const std::vector<std::size_t>& selected,
-                                const StageOptions& opts, StageInfo& info,
-                                std::uint64_t stage_seq,
-                                const FaultToleranceOptions& ft,
-                                const std::function<void(std::size_t)>& body);
 
   // Applies an adaptive plan to a shuffle's effective knobs in place.
   // `merge_theta` > 0 suppresses the partition knobs (bucket count is part
@@ -819,10 +787,10 @@ class Engine {
   // One bump-pointer arena per worker slot; shuffle write tasks allocate
   // their segment entry storage from their own slot's arena (single-owner,
   // no lock), and the chunks are recycled once per shuffle via
-  // ArenaEpochGuard. Empty when Options::shuffle_arena is false — every
-  // segment then falls back to the heap through the null-arena allocator.
+  // ArenaEpochGuard. A slotless caller (kNoSlot) gets the heap through
+  // the null-arena allocator.
   detail::SegmentArena* slot_arena(std::size_t slot) {
-    if (slot >= arenas_.size()) return nullptr;  // covers kNoSlot + arena-off
+    if (slot >= arenas_.size()) return nullptr;
     return arenas_[slot].get();
   }
 
@@ -833,9 +801,9 @@ class Engine {
 
   // Scoped epoch: declared before a shuffle's sink so its destructor runs
   // after the sink's, recycling the arenas exactly when the last segment
-  // of that shuffle is gone. run_stage joins all task futures before
-  // returning (including on the fault-tolerant path), so no write task can
-  // still be allocating when the guard fires.
+  // of that shuffle is gone. run_stage joins its wave and every
+  // speculative copy before returning, so no write task can still be
+  // allocating when the guard fires.
   class ArenaEpochGuard {
    public:
     explicit ArenaEpochGuard(Engine& engine) : engine_(engine) {}
@@ -885,7 +853,7 @@ class Engine {
       }
       policy.budget_bytes = budget;
       policy.backend = backend;
-      if (options_.spill_breaker_enabled) policy.breaker = &spill_breaker_;
+      policy.breaker = &spill_breaker_;
       return policy;
     }
   }
@@ -951,8 +919,7 @@ class Engine {
   std::optional<CancellationToken> cancel_;  // null = cancellation detached
   std::uint64_t stage_seq_ = 0;  // stages run since construction; injector key
   std::vector<StageInfo> stage_log_;
-  // Per-slot segment arenas (see slot_arena); indexed by stable slot id,
-  // empty when shuffle_arena is off.
+  // Per-slot segment arenas (see slot_arena); indexed by stable slot id.
   std::vector<std::unique_ptr<detail::SegmentArena>> arenas_;
   // recycled_chunks total already published to obs (counters are deltas).
   std::uint64_t published_arena_recycled_ = 0;

@@ -39,9 +39,6 @@ double backoff_delay_ms(const FaultToleranceOptions& ft, std::uint64_t stage_seq
                         std::size_t partition, int attempt) {
   const double base = ft.retry_backoff_ms;
   if (base <= 0.0 || attempt < 1) return 0.0;
-  if (ft.backoff == BackoffPolicy::kLinear) {
-    return base * static_cast<double>(attempt);
-  }
   // Decorrelated jitter, recomputed iteratively from attempt 1 so the
   // function stays stateless: each step draws its own hashed uniform, so
   // the whole curve is a pure function of (seed, stage, partition).
@@ -53,6 +50,16 @@ double backoff_delay_ms(const FaultToleranceOptions& ft, std::uint64_t stage_seq
     delay = std::min(cap, base + u * (3.0 * delay - base));
   }
   return delay;
+}
+
+void FaultToleranceOptions::validate() const {
+  DIAS_EXPECTS(max_attempts >= 1, "need at least one attempt per task");
+  DIAS_EXPECTS(retry_backoff_ms >= 0.0, "retry backoff must be >= 0");
+  DIAS_EXPECTS(speculation_quantile > 0.0 && speculation_quantile <= 1.0,
+               "speculation quantile must be in (0,1]");
+  DIAS_EXPECTS(retry_backoff_cap_ms >= 0.0 && stall_threshold_ms >= 0.0 &&
+                   stall_p95_multiplier >= 0.0,
+               "backoff cap and stall thresholds must be >= 0");
 }
 
 FaultInjector::FaultInjector(FaultConfig config) : config_(config) {

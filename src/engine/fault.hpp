@@ -12,10 +12,11 @@
 //     so they are reproducible independent of thread scheduling and never
 //     consume state from the engine's sequential Rng stream.
 //   * FaultToleranceOptions - the engine-side policy: bounded per-task
-//     retries with linear backoff, Spark-style speculative re-execution of
-//     stage-tail stragglers, and approximation-aware degradation (a task
-//     that exhausts its retries on a droppable stage becomes a dropped
-//     partition, folded into the stage's effective drop ratio).
+//     retries with capped decorrelated-jitter backoff, Spark-style
+//     speculative re-execution of stage-tail stragglers, and
+//     approximation-aware degradation (a task that exhausts its retries on
+//     a droppable stage becomes a dropped partition, folded into the
+//     stage's effective drop ratio).
 //   * TaskFailedError - typed error carrying stage name, partition id and
 //     attempt count, thrown when a task dies for good on a stage that is
 //     NOT allowed to degrade.
@@ -81,34 +82,21 @@ class FaultInjector {
   FaultConfig config_;
 };
 
-// How retry delays grow with the attempt number (ISSUE 10 satellite a).
-enum class BackoffPolicy {
-  // PR 1's reference curve: sleep attempt * retry_backoff_ms, uncapped.
-  // Kept reachable for the legacy determinism reference.
-  kLinear,
-  // Capped decorrelated jitter (the AWS "decorrelated" variant, made
-  // stateless): d_1 = base, d_k = min(cap, base + u_k * (3 d_{k-1} - base))
-  // with u_k an independent uniform drawn from the injection seed and the
-  // (stage, partition, attempt) coordinates — deterministic under a fixed
-  // seed, de-synchronized across tasks so retry storms never stampede the
-  // same instant.
-  kDecorrelatedJitter,
-};
-
 // Engine-wide fault-tolerance policy. The default configuration (one
-// attempt, no injection, no speculation) makes the engine bypass the
-// fault-tolerant execution path entirely, keeping the zero-fault hot path
-// byte-identical to an engine without this subsystem.
+// attempt, no injection, no speculation) is inert: each task runs once,
+// no monitor watches the stage, and a body's exception propagates
+// unchanged instead of being absorbed as a failed attempt.
 struct FaultToleranceOptions {
   FaultConfig injection;
   // Attempts per task before it is declared dead (>= 1; 1 = no retry).
   int max_attempts = 1;
-  // Base backoff between attempts; how it scales with the attempt number
-  // is the BackoffPolicy's choice. 0 = no backoff under either policy.
+  // Retry backoff, capped decorrelated jitter (the AWS "decorrelated"
+  // variant, made stateless): d_1 = base, d_k = min(cap, base + u_k *
+  // (3 d_{k-1} - base)) with u_k an independent uniform drawn from the
+  // injection seed and the (stage, partition, attempt) coordinates —
+  // deterministic under a fixed seed, de-synchronized across tasks so
+  // retry storms never stampede the same instant. A 0 base = no backoff.
   double retry_backoff_ms = 0.0;
-  BackoffPolicy backoff = BackoffPolicy::kDecorrelatedJitter;
-  // Ceiling for kDecorrelatedJitter delays (kLinear stays the exact
-  // uncapped PR 1 curve).
   double retry_backoff_cap_ms = 250.0;
   // Spark-style speculation: once `speculation_quantile` of a stage's
   // tasks succeeded, re-submit a copy of every still-running task; the
@@ -130,15 +118,20 @@ struct FaultToleranceOptions {
   double stall_threshold_ms = 0.0;      // absolute floor; 0 = p95 term only
   double stall_p95_multiplier = 4.0;
 
-  // True when run_stage must take the fault-tolerant path at all.
+  // True when the policy can perturb or absorb a task at all; false means
+  // the inert one-attempt, exceptions-propagate behaviour.
   bool active() const {
     return max_attempts > 1 || speculation || stall_watchdog ||
            FaultInjector(injection).enabled();
   }
+
+  // Throws precondition_error naming the first out-of-range field.
+  void validate() const;
 };
 
-// Delay to sleep after failed attempt `attempt` (1-based), per the
-// policy's curve. Pure: deterministic for fixed (options, coordinates).
+// Delay to sleep after failed attempt `attempt` (1-based), on the capped
+// decorrelated-jitter curve. Pure: deterministic for fixed (options,
+// coordinates).
 double backoff_delay_ms(const FaultToleranceOptions& ft, std::uint64_t stage_seq,
                         std::size_t partition, int attempt);
 

@@ -23,7 +23,7 @@ thread_local WorkerIdentity tl_worker;
 
 }  // namespace
 
-// One stage wave: the single queue entry behind a batched run_indexed.
+// One stage wave: the single queue entry behind a run_indexed.
 // `next` is the only word every lane hammers, so it gets its own cache
 // line away from the mutex-guarded bookkeeping. Lane bookkeeping
 // (entered/exited/executed/retired) is guarded by the POOL's mutex_ —
@@ -63,9 +63,8 @@ struct ThreadPool::Wave {
   bool done = false;
 };
 
-ThreadPool::ThreadPool(std::size_t workers, std::size_t reserve, bool batched_waves)
-    : base_(workers), active_limit_(workers), batched_waves_(batched_waves),
-      executed_(workers + reserve + 1) {
+ThreadPool::ThreadPool(std::size_t workers, std::size_t reserve)
+    : base_(workers), active_limit_(workers), executed_(workers + reserve + 1) {
   DIAS_EXPECTS(workers >= 1, "thread pool needs at least one worker");
   const std::size_t total = workers + reserve;
   threads_.reserve(total);
@@ -240,12 +239,9 @@ void ThreadPool::detach_metrics() {
 }
 
 void ThreadPool::run_indexed(std::size_t count, const std::function<void(std::size_t)>& task,
-                             const CancellationToken* cancel) {
+                             const CancellationToken* cancel,
+                             const std::function<bool()>& monitor) {
   if (count == 0) return;
-  if (!batched_waves_) {
-    run_indexed_legacy(count, task, cancel);
-    return;
-  }
   auto wave = std::make_shared<Wave>(task, count, cancel,
                                      wave_seq_.fetch_add(1, std::memory_order_relaxed));
   {
@@ -275,84 +271,61 @@ void ThreadPool::run_indexed(std::size_t count, const std::function<void(std::si
     }
     if (entered) run_wave_lane(wave, tl_worker.slot);
   }
-  if (cancel == nullptr) {
-    std::unique_lock lock(wave->done_mu);
-    wave->done_cv.wait(lock, [&] { return wave->done; });
-  } else {
-    // Hardened latch (ISSUE 10): the wait ticks instead of blocking
-    // unconditionally, and once the job's token fires the waiter retires
-    // the wave itself — no new lanes can join, and if no lane ever entered
-    // the waiter trips the latch directly instead of hoping one will.
-    // Lanes already inside re-check the token per index and injected
+  // The monitor ticks until it is satisfied or the wave is done; after
+  // that the wait blocks outright, or — with a token — ticks every 10 ms.
+  bool monitoring = static_cast<bool>(monitor);
+  bool early_retired = false;
+  for (;;) {
+    if (monitoring) monitoring = monitor();
+    {
+      std::unique_lock lock(wave->done_mu);
+      if (monitoring) {
+        if (wave->done) break;
+      } else if (cancel == nullptr) {
+        wave->done_cv.wait(lock, [&] { return wave->done; });
+        break;
+      } else if (wave->done_cv.wait_for(lock, std::chrono::milliseconds(10),
+                                        [&] { return wave->done; })) {
+        break;
+      }
+    }
+    // Hardened latch (ISSUE 10): once the job's token fires the waiter
+    // retires the wave itself — no new lanes can join, and if no lane ever
+    // entered the waiter trips the latch directly instead of hoping one
+    // will. Lanes already inside re-check the token per index and injected
     // stalls are bounded (chaos::kMaxStallMs), so the in-flight remainder
     // drains and the lane-side last-out publication fires; the borrowed
     // body reference stays valid until then by construction.
-    bool early_retired = false;
-    for (;;) {
+    if (cancel == nullptr || early_retired || !cancel->cancelled()) continue;
+    early_retired = true;
+    bool complete = false;
+    {
+      std::lock_guard lock(mutex_);
+      if (!wave->retired) {
+        wave->retired = true;
+        // Same pop-if-front rule as lane-side retirement: a nested wave
+        // that never reached the front is discarded by worker_loop.
+        if (!queue_.empty() && queue_.front().wave.get() == wave.get()) {
+          queue_.pop_front();
+          queue_size_.store(queue_.size(), std::memory_order_relaxed);
+        }
+      }
+      complete = wave->exited == wave->entered;
+    }
+    if (complete) {
       {
-        std::unique_lock lock(wave->done_mu);
-        if (wave->done_cv.wait_for(lock, std::chrono::milliseconds(10),
-                                   [&] { return wave->done; })) {
-          break;
-        }
+        std::lock_guard lock(wave->done_mu);
+        wave->done = true;
       }
-      if (early_retired || !cancel->cancelled()) continue;
-      early_retired = true;
-      bool complete = false;
-      {
-        std::lock_guard lock(mutex_);
-        if (!wave->retired) {
-          wave->retired = true;
-          // Same pop-if-front rule as lane-side retirement: a nested wave
-          // that never reached the front is discarded by worker_loop.
-          if (!queue_.empty() && queue_.front().wave.get() == wave.get()) {
-            queue_.pop_front();
-            queue_size_.store(queue_.size(), std::memory_order_relaxed);
-          }
-        }
-        complete = wave->exited == wave->entered;
-      }
-      if (complete) {
-        {
-          std::lock_guard lock(wave->done_mu);
-          wave->done = true;
-        }
-        wave->done_cv.notify_all();
-      }
+      wave->done_cv.notify_all();
     }
   }
-  if (wave->first_error) std::rethrow_exception(wave->first_error);
-}
-
-void ThreadPool::run_indexed_legacy(std::size_t count,
-                                    const std::function<void(std::size_t)>& task,
-                                    const CancellationToken* cancel) {
-  // One index-stealing lane per worker *slot*, each a full packaged task:
-  // the pre-wave submission path, kept as the determinism battery's
-  // reference and for pools constructed with batched_waves = false.
-  const std::size_t lanes = std::min(count, workers());
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::vector<std::future<void>> futures;
-  futures.reserve(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    futures.push_back(submit([&next, &task, &error_mutex, &first_error, count, cancel] {
-      for (;;) {
-        if (cancel != nullptr && cancel->cancelled()) return;
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
-        try {
-          task(i);
-        } catch (...) {
-          std::lock_guard lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-    }));
+  // Take the error out of the wave: a worker may drop the last reference
+  // to the wave after this returns, and the exception object must be
+  // released on the thread that handles it, not on that worker.
+  if (std::exception_ptr error = std::exchange(wave->first_error, nullptr)) {
+    std::rethrow_exception(error);
   }
-  for (auto& f : futures) f.get();
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 void ThreadPool::run_wave_lane(const std::shared_ptr<Wave>& wave, std::size_t slot) {

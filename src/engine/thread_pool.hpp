@@ -22,9 +22,9 @@
 // one queue operation, one allocation, and one notify per *stage* — the
 // per-task promise/future machinery is gone from the stage hot path. A
 // mid-wave lease still widens the stage: freshly activated slots find the
-// wave at the front and join it. Constructing with batched_waves = false
-// keeps the legacy one-submit-per-lane path (the scale determinism battery
-// sweeps both and the outputs are byte-identical).
+// wave at the front and join it. Every engine stage is exactly one wave;
+// submit() is left for the odd extra task, such as a speculative copy
+// launched by the wave's monitor while the wave is still running.
 #pragma once
 
 #include <atomic>
@@ -48,11 +48,8 @@ namespace dias::engine {
 class ThreadPool {
  public:
   // `workers` base slots are always active; `reserve` additional slots
-  // start dormant and activate only through a lease. `batched_waves`
-  // selects wave-descriptor submission for run_indexed (the default);
-  // false keeps the legacy one-packaged-lane-per-slot path.
-  explicit ThreadPool(std::size_t workers, std::size_t reserve = 0,
-                      bool batched_waves = true);
+  // start dormant and activate only through a lease.
+  explicit ThreadPool(std::size_t workers, std::size_t reserve = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -95,14 +92,13 @@ class ThreadPool {
 
   // Runs `count` indexed tasks and waits for all of them; the first
   // observed exception (if any) is rethrown after every started task
-  // finished. With batched waves this is one queue push: workers join the
-  // wave at the queue front and steal indices until the range is
-  // exhausted; the last lane out trips the completion latch. When the
-  // calling thread is itself a worker of this pool it lends its own slot
-  // as a lane (so a nested run_indexed can never deadlock a small pool);
-  // foreign callers never execute bodies — stage bodies only ever run on
-  // slotted workers, which is what keeps the shuffle write path off the
-  // locked overflow lane.
+  // finished. This is one queue push: workers join the wave at the queue
+  // front and steal indices until the range is exhausted; the last lane
+  // out trips the completion latch. When the calling thread is itself a
+  // worker of this pool it lends its own slot as a lane (so a nested
+  // run_indexed can never deadlock a small pool); foreign callers never
+  // execute bodies — stage bodies only ever run on slotted workers, which
+  // is what keeps the shuffle write path off the locked overflow lane.
   //
   // With a non-null `cancel`, every lane re-checks the token before
   // stealing its next index and bails once cancellation was requested —
@@ -110,8 +106,16 @@ class ThreadPool {
   // indices are abandoned, and the workers come free for the next job.
   // Abandoned indices do NOT count as errors; the caller decides what a
   // partially executed range means (the engine raises JobCancelledError).
+  //
+  // A non-empty `monitor` runs on the waiting thread (after its own lane,
+  // if it lent one) and is called back to back until it returns false or
+  // the wave completes, whichever comes first. Each call should block
+  // briefly (a few milliseconds at most) on its own progress signal, and
+  // must not throw: the wave borrows `task` until its last lane is out.
+  // The engine's speculation and stall watchdog live here.
   void run_indexed(std::size_t count, const std::function<void(std::size_t)>& task,
-                   const CancellationToken* cancel = nullptr);
+                   const CancellationToken* cancel = nullptr,
+                   const std::function<bool()>& monitor = {});
 
   // Queue entries not yet retired: each plain task counts 1 and each
   // unfinished wave counts 1, however many indices it still holds
@@ -154,8 +158,6 @@ class ThreadPool {
 
   void worker_loop(std::size_t slot);
   void run_wave_lane(const std::shared_ptr<Wave>& wave, std::size_t slot);
-  void run_indexed_legacy(std::size_t count, const std::function<void(std::size_t)>& task,
-                          const CancellationToken* cancel);
   // Publishes internal totals to the attached registry handles (no-op when
   // detached). Requires metrics_mu_; must never be called with mutex_ held
   // (lock order: mutex_ and metrics_mu_ are never nested).
@@ -168,7 +170,6 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   std::size_t base_ = 0;
   std::size_t active_limit_ = 0;  // guarded by mutex_
-  const bool batched_waves_;
   std::deque<Item> queue_;  // guarded by mutex_
   std::mutex mutex_;
   std::condition_variable cv_;

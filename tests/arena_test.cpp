@@ -11,15 +11,16 @@
 //     equality is by arena identity, which is what makes the
 //     get_allocator()-preserving swap in ShuffleSink::release_entries
 //     well-defined.
-//   * determinism — arena on/off must not change a single result bit,
-//     checked through the Engine over randomized stage sequences (the
-//     property leg), with the engine's own arena telemetry proving the
-//     arenas actually cycled.
+//   * determinism — arena-backed shuffles must not change a single result
+//     bit, checked through the Engine over randomized stage sequences
+//     against a plain fold (the property leg), with the engine's own arena
+//     telemetry proving the arenas actually cycled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -153,13 +154,13 @@ TEST(ArenaAllocatorTest, VectorGrowthAndMoveStayInsideArena) {
 }
 
 // Randomized stage-sequence property: a random mix of shuffle stages
-// (varying sizes, partition counts, buffer budgets) run twice — arena on
-// vs arena off — must produce bitwise identical results on every stage,
-// and the engine's arena telemetry must show the chunks actually cycling
-// (one epoch per shuffle, recycled counts growing). Under the asan leg
-// this doubles as the use-after-recycle detector: any segment read after
-// its epoch ended hits poisoned memory.
-TEST(ArenaEngineTest, RandomizedStageSequencesBitIdenticalArenaOnVsOff) {
+// (varying sizes, partition counts, buffer budgets) run through one
+// engine must match a plain std::map fold of the same records on every
+// stage, and the engine's arena telemetry must show the chunks actually
+// cycling (one epoch per shuffle, recycled counts growing). Under the asan
+// leg this doubles as the use-after-recycle detector: any segment read
+// after its epoch ended hits poisoned memory.
+TEST(ArenaEngineTest, RandomizedStageSequencesMatchReferenceFold) {
   Rng rng(2024);
   struct StageSpec {
     std::size_t records;
@@ -173,47 +174,41 @@ TEST(ArenaEngineTest, RandomizedStageSequencesBitIdenticalArenaOnVsOff) {
                       1 + rng.uniform_int(12), 256u << rng.uniform_int(6)});
   }
 
-  const auto run = [&](bool arena, obs::Registry* registry) {
-    Engine::Options o;
-    o.workers = 4;
-    o.seed = 321;
-    o.shuffle_arena = arena;
-    Engine eng(o);
-    if (registry != nullptr) eng.attach_observability(registry, nullptr);
-    std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> results;
-    std::uint64_t seed = 50;
-    for (const StageSpec& spec : stages) {
-      Rng data_rng(++seed);
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> records(spec.records);
-      for (auto& [k, v] : records) {
-        k = data_rng.uniform_int(200);
-        v = data_rng.uniform_int(1000);
-      }
-      ShuffleOptions shuffle;
-      shuffle.target_buffer_bytes = spec.buffer_bytes;
-      const auto ds = eng.parallelize(records, spec.in_parts);
-      const auto out = eng.reduce_by_key(
-          ds, [](std::uint64_t a, std::uint64_t b) { return a + b; }, spec.out_parts,
-          {}, shuffle);
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> flat;
-      for (std::size_t p = 0; p < out.partitions(); ++p) {
-        const auto& part = out.partition(p);
-        flat.insert(flat.end(), part.begin(), part.end());
-      }
-      std::sort(flat.begin(), flat.end());
-      results.push_back(std::move(flat));
-    }
-    if (registry != nullptr) eng.attach_observability(nullptr, nullptr);
-    return results;
-  };
-
   obs::Registry registry;
-  const auto with_arena = run(true, &registry);
-  const auto without_arena = run(false, nullptr);
-  ASSERT_EQ(with_arena.size(), without_arena.size());
-  for (std::size_t i = 0; i < with_arena.size(); ++i) {
-    EXPECT_EQ(with_arena[i], without_arena[i]) << "stage " << i;
+  Engine::Options o;
+  o.workers = 4;
+  o.seed = 321;
+  Engine eng(o);
+  eng.attach_observability(&registry, nullptr);
+  std::uint64_t seed = 50;
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    const StageSpec& spec = stages[i];
+    Rng data_rng(++seed);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> records(spec.records);
+    for (auto& [k, v] : records) {
+      k = data_rng.uniform_int(200);
+      v = data_rng.uniform_int(1000);
+    }
+    ShuffleOptions shuffle;
+    shuffle.target_buffer_bytes = spec.buffer_bytes;
+    const auto ds = eng.parallelize(records, spec.in_parts);
+    const auto out = eng.reduce_by_key(
+        ds, [](std::uint64_t a, std::uint64_t b) { return a + b; }, spec.out_parts, {},
+        shuffle);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> flat;
+    for (std::size_t p = 0; p < out.partitions(); ++p) {
+      const auto& part = out.partition(p);
+      flat.insert(flat.end(), part.begin(), part.end());
+    }
+    std::sort(flat.begin(), flat.end());
+
+    std::map<std::uint64_t, std::uint64_t> fold;
+    for (const auto& [k, v] : records) fold[k] += v;
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected(fold.begin(),
+                                                                       fold.end());
+    EXPECT_EQ(flat, expected) << "stage " << i;
   }
+  eng.attach_observability(nullptr, nullptr);
 
   // The arenas really cycled: chunks were reserved and recycled at least
   // once per shuffle after the first.

@@ -200,11 +200,11 @@ TEST_F(ChaosSoakTest, EveryEnginePathPointFiresAndStaysTerminal) {
     const char* point;
     bool must_complete_exact;  // absorbable fault: breaker/fallback path
   };
-  // pool.wave is absent here deliberately: an armed chaos plane routes the
-  // engine through the fault-tolerant task path, which submits tasks
-  // individually rather than through run_indexed waves. The wave point is
-  // soaked by thread_pool_test's WaveChaosTest legs against the pool
-  // directly.
+  // pool.wave is absent here: it fires outside the engine's attempt loop,
+  // so a wave-lane throw is never absorbed by retries and ends the run
+  // with the ChaosError itself. The wave point is soaked by
+  // thread_pool_test's WaveChaosTest legs against the pool directly, and
+  // by the wildcard sweeps above.
   const Leg legs[] = {
       {points::kEngineTask, false},    // retries exhaust -> TaskFailedError
       {points::kSpillWrite, true},     // breaker trips, in-memory fallback

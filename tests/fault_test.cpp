@@ -19,6 +19,7 @@
 #include "analytics/word_count.hpp"
 #include "common/error.hpp"
 #include "engine/engine.hpp"
+#include "obs/metrics.hpp"
 #include "workload/graph_gen.hpp"
 #include "workload/text_corpus.hpp"
 
@@ -160,19 +161,8 @@ TEST(FaultOptionsTest, StallWatchdogActivatesFaultPath) {
 
 // --- retry backoff curves (ISSUE 10 satellite a) ---------------------------
 
-TEST(BackoffTest, LinearPolicyIsExactPR1Curve) {
-  FaultToleranceOptions ft;
-  ft.backoff = BackoffPolicy::kLinear;
-  ft.retry_backoff_ms = 7.0;
-  ft.retry_backoff_cap_ms = 10.0;  // the legacy curve ignores the cap
-  for (int attempt = 1; attempt <= 6; ++attempt) {
-    EXPECT_DOUBLE_EQ(backoff_delay_ms(ft, 3, 5, attempt), 7.0 * attempt);
-  }
-}
-
 TEST(BackoffTest, DecorrelatedJitterDeterministicCappedAndDesynchronized) {
   FaultToleranceOptions ft;
-  ft.backoff = BackoffPolicy::kDecorrelatedJitter;
   ft.retry_backoff_ms = 10.0;
   ft.retry_backoff_cap_ms = 80.0;
   ft.injection.seed = 42;
@@ -208,8 +198,6 @@ TEST(BackoffTest, DecorrelatedJitterDeterministicCappedAndDesynchronized) {
 TEST(BackoffTest, ZeroBaseMeansNoDelayUnderEitherPolicy) {
   FaultToleranceOptions ft;
   ft.retry_backoff_ms = 0.0;
-  EXPECT_DOUBLE_EQ(backoff_delay_ms(ft, 0, 0, 3), 0.0);
-  ft.backoff = BackoffPolicy::kLinear;
   EXPECT_DOUBLE_EQ(backoff_delay_ms(ft, 0, 0, 3), 0.0);
   ft.retry_backoff_ms = 5.0;
   EXPECT_DOUBLE_EQ(backoff_delay_ms(ft, 0, 0, 0), 0.0);  // no attempt yet
@@ -339,6 +327,87 @@ TEST(FaultRetryTest, ZeroFaultRateMatchesLegacyPathExactly) {
   const auto rb = b.map(db, [](const int& x) { return 3 * x; }, so);
   EXPECT_EQ(ra.collect(), rb.collect());
   expect_same_log(a.stage_log(), b.stage_log());
+}
+
+// --- one stage-execution loop -----------------------------------------------
+
+// What one small job leaves behind: its output, its stage log, and how
+// many pool waves it took.
+struct WaveJob {
+  std::vector<std::pair<int, int>> sums;
+  std::vector<StageInfo> log;
+  std::uint64_t waves = 0;
+};
+
+WaveJob run_wave_job(const Engine::Options& o) {
+  obs::Registry registry;
+  Engine eng(o);
+  eng.attach_observability(&registry, nullptr);
+  const auto ds = eng.parallelize(iota_vec(600), 12);
+  eng.clear_stage_log();
+  const std::uint64_t before = registry.counter("engine.pool.waves").value();
+  StageOptions so;
+  so.name = "one-wave";
+  const auto pairs = eng.map(ds, [](const int& x) { return std::pair<int, int>(x % 17, x); }, so);
+  const auto reduced =
+      eng.reduce_by_key(pairs, [](int a, int b) { return a + b; }, 5, so);
+  WaveJob job;
+  job.waves = registry.counter("engine.pool.waves").value() - before;
+  job.sums = reduced.collect();
+  std::sort(job.sums.begin(), job.sums.end());
+  job.log = eng.stage_log();
+  eng.attach_observability(nullptr, nullptr);
+  return job;
+}
+
+// Retries and speculation ride inside the stage's single wave: the
+// per-index body is the attempt loop and the monitor runs on the waiting
+// thread, so a fault-tolerant stage costs one wave like an inert one.
+// Quantile 1.0 fires only once every task succeeded, so no copy launches
+// and the counters must match the inert engine's exactly.
+TEST(FaultSingleLoopTest, FaultTolerantStagesRunAsOneWaveEach) {
+  const Engine::Options inert = eng_opts(0.25, 9);
+  Engine::Options tolerant = inert;
+  tolerant.fault.max_attempts = 3;
+  tolerant.fault.speculation = true;
+  tolerant.fault.speculation_quantile = 1.0;
+
+  const WaveJob a = run_wave_job(inert);
+  const WaveJob b = run_wave_job(tolerant);
+  ASSERT_EQ(b.log.size(), 3u);  // map, shuffle write, reduce
+  EXPECT_EQ(a.waves, a.log.size());
+  EXPECT_EQ(b.waves, b.log.size());
+  EXPECT_EQ(a.sums, b.sums);
+  expect_same_log(a.log, b.log);
+  for (std::size_t i = 0; i < b.log.size(); ++i) {
+    EXPECT_EQ(b.log[i].speculative_launched, a.log[i].speculative_launched);
+    EXPECT_EQ(b.log[i].speculative_wins, a.log[i].speculative_wins);
+    EXPECT_EQ(b.log[i].cancelled_partitions, 0u);
+  }
+}
+
+// Under the inert policy a body's exception is the stage's: even on a
+// droppable stage it propagates with its own type and message instead of
+// being absorbed as a failed attempt and degraded into a drop.
+TEST(FaultSingleLoopTest, InertPolicyPropagatesBodyExceptionOnDroppableStage) {
+  Engine eng(eng_opts());
+  const auto ds = eng.parallelize(iota_vec(40), 4);
+  StageOptions so;
+  so.droppable = true;
+  try {
+    eng.map_partitions_indexed(
+        ds,
+        [](std::size_t p, const std::vector<int>& part) {
+          if (p == 2) throw std::runtime_error("boom");
+          return part;
+        },
+        so);
+    FAIL() << "the body's exception was swallowed";
+  } catch (const dias::error& e) {
+    FAIL() << "wrapped into a dias::error: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
+  }
 }
 
 // --- approximation-aware degradation ---------------------------------------

@@ -1,18 +1,21 @@
 // Scale-sweep determinism battery for the hot-path scaling work (ISSUE 9).
 //
-// The oracle: every hot-path optimization — batched wave submission,
-// per-slot segment arenas, the radix split — must be a PURE RELOCATION
+// The oracle: every hot-path mechanism — wave submission, per-slot
+// segment arenas, the radix split, spilling — must be a PURE RELOCATION
 // under the (src, seq) merge-fold contract. So for every cell of
 //
-//   workers {1, 2, 8, 16, 32} x arena {on, off} x batched waves {on, off}
-//                             x spill {on, off}
+//   workers {1, 2, 8, 16, 32} x spill {on, off}
 //
-// the result must be bitwise identical to the all-off single-worker
-// reference: shuffled uint64 sums, word counts, and PageRank's
-// floating-point rank vector (where a single reordered addition would
-// flip a ULP and fail the bit compare). Results are compared in canonical
-// form (sorted (key, value-bits)) because worker count legitimately moves
-// entries between partitions; it must never change a result bit.
+// the result must be bitwise identical to its reference. Shuffled uint64
+// sums and word counts are order-insensitive, so their reference is a
+// plain fold written here (std::map, no engine). Double sums and
+// PageRank's floating-point rank vector are order-sensitive — a single
+// reordered addition would flip a ULP and fail the bit compare — and the
+// engine's (src, seq) contract is what defines their summation order, so
+// their reference is the single-worker resident engine run. Results are
+// compared in canonical form (sorted (key, value-bits)) because worker
+// count legitimately moves entries between partitions; it must never
+// change a result bit.
 //
 // Worker counts deliberately overshoot the host: 16 and 32 workers on a
 // small core count maximize index-steal interleavings through the wave
@@ -23,6 +26,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -107,29 +111,20 @@ class MemorySpill final : public SpillBackend {
   SpillStats stats_;
 };
 
-// One sweep cell. Reference = {1 worker, everything off}.
+// One sweep cell. The engine reference is {1 worker, resident}.
 struct Cell {
   std::size_t workers;
-  bool arena;
-  bool batched;
   bool spill;
 
   std::string label() const {
-    return "workers=" + std::to_string(workers) + (arena ? " arena" : " no-arena") +
-           (batched ? " waves" : " legacy") + (spill ? " spill" : " resident");
+    return "workers=" + std::to_string(workers) + (spill ? " spill" : " resident");
   }
 };
 
 std::vector<Cell> sweep_cells() {
   std::vector<Cell> cells;
   for (const std::size_t workers : kWorkerSweep) {
-    for (const bool arena : {false, true}) {
-      for (const bool batched : {false, true}) {
-        for (const bool spill : {false, true}) {
-          cells.push_back({workers, arena, batched, spill});
-        }
-      }
-    }
+    for (const bool spill : {false, true}) cells.push_back({workers, spill});
   }
   return cells;
 }
@@ -138,8 +133,6 @@ Engine make_engine(const Cell& cell) {
   Engine::Options o;
   o.workers = cell.workers;
   o.seed = 4242;
-  o.shuffle_arena = cell.arena;
-  o.batched_waves = cell.batched;
   return Engine(o);
 }
 
@@ -196,7 +189,10 @@ TEST(ScaleDeterminismTest, ShuffledSumsBitIdenticalAcrossSweep) {
     return result;
   };
 
-  const auto reference = run({1, false, false, false});
+  std::map<std::uint64_t, std::uint64_t> fold;
+  for (const auto& [k, v] : records) fold[k] += v;
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> reference(fold.begin(),
+                                                                        fold.end());
   ASSERT_FALSE(reference.empty());
   for (const Cell& cell : sweep_cells()) {
     SCOPED_TRACE(cell.label());
@@ -227,7 +223,7 @@ TEST(ScaleDeterminismTest, DoubleSumsBitIdenticalAcrossSweep) {
     return canonical(eng.reduce_by_key(ds, sum, kOutPartitions, opts, shuffle));
   };
 
-  const auto reference = run({1, false, false, false});
+  const auto reference = run({1, false});
   for (const Cell& cell : sweep_cells()) {
     SCOPED_TRACE(cell.label());
     EXPECT_EQ(run(cell), reference);
@@ -251,10 +247,16 @@ TEST(ScaleDeterminismTest, WordCountIdenticalAcrossSweep) {
       shuffle.memory_budget_bytes = 16 * 1024;
     }
     const auto rows = eng.parallelize(corpus.rows, kInputPartitions);
-    return analytics::word_count(eng, rows, 8, -1.0, shuffle).counts;
+    const auto counts = analytics::word_count(eng, rows, 8, -1.0, shuffle).counts;
+    return std::map<std::string, std::uint64_t>(counts.begin(), counts.end());
   };
 
-  const auto reference = run({1, false, false, false});
+  std::map<std::string, std::uint64_t> reference;
+  for (const auto& row : corpus.rows) {
+    for (const auto& word : workload::tokenize(workload::extract_post_body(row))) {
+      ++reference[word];
+    }
+  }
   ASSERT_FALSE(reference.empty());
   for (const Cell& cell : sweep_cells()) {
     SCOPED_TRACE(cell.label());
@@ -264,7 +266,7 @@ TEST(ScaleDeterminismTest, WordCountIdenticalAcrossSweep) {
 
 // PageRank: five shuffles per run (adjacency + one per iteration), all
 // floating point. No spill dimension — page_rank doesn't thread shuffle
-// options through — so this leg sweeps workers x arena x batched.
+// options through — so this leg sweeps workers only.
 TEST(ScaleDeterminismTest, PageRankBitwiseIdenticalAcrossSweep) {
   workload::GraphParams gp;
   gp.scale = 8;
@@ -280,25 +282,21 @@ TEST(ScaleDeterminismTest, PageRankBitwiseIdenticalAcrossSweep) {
     return analytics::page_rank(eng, eng.parallelize(edges, kInputPartitions), opts).ranks;
   };
 
-  const auto reference = run({1, false, false, false});
+  const auto reference = run({1, false});
   ASSERT_FALSE(reference.empty());
   for (const std::size_t workers : kWorkerSweep) {
-    for (const bool arena : {false, true}) {
-      for (const bool batched : {false, true}) {
-        const Cell cell{workers, arena, batched, false};
-        SCOPED_TRACE(cell.label());
-        const auto ranks = run(cell);
-        ASSERT_EQ(ranks.size(), reference.size());
-        for (const auto& [vertex, rank] : reference) {
-          const auto it = ranks.find(vertex);
-          ASSERT_NE(it, ranks.end()) << "vertex " << vertex;
-          std::uint64_t expect_bits = 0;
-          std::uint64_t got_bits = 0;
-          std::memcpy(&expect_bits, &rank, sizeof(expect_bits));
-          std::memcpy(&got_bits, &it->second, sizeof(got_bits));
-          EXPECT_EQ(got_bits, expect_bits) << "vertex " << vertex;
-        }
-      }
+    const Cell cell{workers, false};
+    SCOPED_TRACE(cell.label());
+    const auto ranks = run(cell);
+    ASSERT_EQ(ranks.size(), reference.size());
+    for (const auto& [vertex, rank] : reference) {
+      const auto it = ranks.find(vertex);
+      ASSERT_NE(it, ranks.end()) << "vertex " << vertex;
+      std::uint64_t expect_bits = 0;
+      std::uint64_t got_bits = 0;
+      std::memcpy(&expect_bits, &rank, sizeof(expect_bits));
+      std::memcpy(&got_bits, &it->second, sizeof(got_bits));
+      EXPECT_EQ(got_bits, expect_bits) << "vertex " << vertex;
     }
   }
 }

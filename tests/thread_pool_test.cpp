@@ -86,6 +86,48 @@ TEST(ThreadPoolTest, RunIndexedWaitsForAllBeforeRethrow) {
   }
 }
 
+// The monitor runs on the waiting thread while the wave is in flight, and
+// the wave's completion ends it even when it never declares itself done.
+TEST(ThreadPoolTest, MonitorRunsOnWaiterUntilWaveCompletes) {
+  ThreadPool pool(2);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> ran{0};
+  int ticks = 0;
+  bool on_caller = true;
+  pool.run_indexed(
+      6,
+      [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        ++ran;
+      },
+      nullptr,
+      [&] {
+        ++ticks;
+        on_caller = on_caller && std::this_thread::get_id() == caller;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return true;
+      });
+  EXPECT_EQ(ran.load(), 6);
+  EXPECT_GT(ticks, 1);
+  EXPECT_TRUE(on_caller);
+
+  // A monitor that is done at once is not called again; the wait goes on.
+  ticks = 0;
+  ran = 0;
+  pool.run_indexed(
+      6,
+      [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        ++ran;
+      },
+      nullptr, [&] {
+        ++ticks;
+        return false;
+      });
+  EXPECT_EQ(ran.load(), 6);
+  EXPECT_EQ(ticks, 1);
+}
+
 TEST(ThreadPoolTest, ActuallyParallel) {
   ThreadPool pool(4);
   std::atomic<int> concurrent{0};
@@ -450,27 +492,6 @@ TEST(WaveStressTest, NestedRunIndexedOnOwnPoolCompletes) {
     pool.run_indexed(8, [&](std::size_t) { ++inner_total; });
   });
   EXPECT_EQ(inner_total.load(), 32);
-}
-
-// The legacy one-submit-per-lane path stays available behind the ctor flag
-// and keeps the same contract (the scale battery compares result bytes of
-// both modes; this pins the executable behavior).
-TEST(WaveStressTest, LegacySubmissionPathKeepsContract) {
-  ThreadPool pool(4, 0, /*batched_waves=*/false);
-  constexpr std::size_t kCount = 1000;
-  std::vector<std::atomic<std::uint8_t>> runs(kCount);
-  pool.run_indexed(kCount, [&](std::size_t i) { runs[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kCount; ++i) {
-    ASSERT_EQ(runs[i].load(), 1u) << "index " << i;
-  }
-  std::atomic<int> ran{0};
-  EXPECT_THROW(pool.run_indexed(100,
-                                [&](std::size_t i) {
-                                  if (i == 13) throw std::runtime_error("boom");
-                                  ++ran;
-                                }),
-               std::runtime_error);
-  EXPECT_EQ(ran.load(), 99);
 }
 
 // Many concurrent waves from many threads: waves queue FIFO, each retires
