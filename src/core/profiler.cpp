@@ -10,8 +10,7 @@ namespace dias::core {
 namespace {
 
 bool is_map_like(engine::EngineStageKind kind) {
-  return kind == engine::EngineStageKind::kMap ||
-         kind == engine::EngineStageKind::kShuffleMap;
+  return kind == engine::EngineStageKind::kMap;
 }
 
 // Task-weighted mean task time over a stage predicate.

@@ -53,8 +53,6 @@ const char* to_string(EngineStageKind kind) {
   switch (kind) {
     case EngineStageKind::kMap:
       return "map";
-    case EngineStageKind::kShuffleMap:
-      return "shuffle-map";
     case EngineStageKind::kShuffleWrite:
       return "shuffle-write";
     case EngineStageKind::kReduce:
@@ -297,10 +295,7 @@ void Engine::run_stage(std::size_t n, const StageOptions& opts, EngineStageKind 
   info.total_partitions = n;
   const std::uint64_t stage_seq = stage_seq_++;
 
-  const double theta = opts.droppable
-                           ? (opts.drop_ratio_override >= 0.0 ? opts.drop_ratio_override
-                                                              : options_.drop_ratio)
-                           : 0.0;
+  const double theta = stage_theta(opts);
   info.applied_drop_ratio = theta;
 
   std::vector<std::size_t> selected;

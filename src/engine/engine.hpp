@@ -1,6 +1,6 @@
 // Mini MapReduce engine with task dropping (paper Section 3.3).
 //
-// Executes DAGs of map / shuffle-map / reduce stages over partitioned
+// Executes DAGs of map / shuffle-write / reduce stages over partitioned
 // datasets on a thread pool. Approximation works exactly like the paper's
 // Spark patch: before a droppable stage runs, find_missing_partitions()
 // returns only ceil(n (1 - theta)) of its n partitions; the rest are
@@ -32,7 +32,7 @@
 
 namespace dias::engine {
 
-enum class EngineStageKind { kMap, kShuffleMap, kShuffleWrite, kReduce, kResult };
+enum class EngineStageKind { kMap, kShuffleWrite, kReduce, kResult };
 
 const char* to_string(EngineStageKind kind);
 
@@ -365,130 +365,36 @@ class Engine {
     return Dataset<T>(std::move(out));
   }
 
-  // Per-partition deduplication followed by a parallel per-bucket merge.
-  // Both phases use the lock-free shuffle buffers (see shuffle.hpp); the
-  // output is deterministic: bucket b lists its distinct elements in first-
-  // appearance order over (input partition, record) position. The
-  // per-partition dedup map flushes at target_buffer_bytes (duplicates
-  // across flushes are re-deduplicated by the merge), so with a finite
-  // memory_budget_bytes the flushed segments can spill like any shuffle —
-  // first-appearance order survives both, because an element's earliest
-  // flush window and its within-window position are pure functions of the
-  // input.
+  // Per-partition deduplication followed by a parallel per-bucket merge,
+  // run on the same two-phase shuffle as combine_by_key (stages "<name>",
+  // kShuffleWrite, and "<name>/merge", kReduce; neither droppable). The
+  // output is deterministic: bucket b lists its distinct elements in
+  // first-appearance order over (input partition, record) position. The
+  // per-task dedup map flushes at target_buffer_bytes (duplicates across
+  // flushes are re-deduplicated by the merge) and, with combine = false,
+  // records ship in raw chunks instead; with a finite memory_budget_bytes
+  // the segments can spill like any shuffle. First-appearance order
+  // survives all of these, because an element's earliest segment position
+  // and its within-segment position are pure functions of the input.
   template <typename T>
   Dataset<T> distinct(const Dataset<T>& in, std::size_t out_partitions,
                       StageOptions opts = {}, ShuffleOptions shuffle = {}) {
-    DIAS_EXPECTS(out_partitions >= 1, "need at least one output partition");
-    using Entry = std::pair<T, char>;
-    if (opts.plan && !opts.plan->is_identity()) {
-      // distinct's merge is never droppable, so repartitioning is always
-      // content-preserving here (first-appearance order is per element).
-      apply_stage_plan(*opts.plan, shuffle, out_partitions, /*merge_theta=*/0.0,
-                       detail::is_spillable<Entry>::value, sizeof(Entry));
-    }
-    const detail::SpillPolicy spill_policy = make_spill_policy<Entry>(shuffle);
-    const bool spill_active = spill_policy.backend != nullptr;
-    // Declared before the sink: destroyed after it, so the arenas are
-    // recycled only once no segment from this shuffle is alive.
-    ArenaEpochGuard arena_guard(*this);
-    detail::ShuffleSink<T, char> sink(pool_.workers(), out_partitions, spill_policy);
-    std::atomic<std::size_t> records_in{0};
-    std::atomic<std::size_t> records_out{0};
-    std::atomic<std::size_t> bytes{0};
-    std::atomic<std::size_t> flushes{0};
     opts.droppable = false;
-    run_stage(in.partitions(), opts, EngineStageKind::kShuffleWrite, [&](std::size_t p) {
-      const std::size_t slot = pool_.current_slot();
-      std::hash<T> hasher;
-      detail::FlatMap<T, char> seen;
-      detail::RadixScratch radix;
-      std::size_t seq = 0;
-      std::size_t shipped = 0;
-      std::size_t accounted_scratch = 0;
-      records_in.fetch_add(in.partition(p).size(), std::memory_order_relaxed);
-      auto ship = [&](std::vector<Entry>&& entries) {
-        detail::radix_split(
-            std::move(entries), out_partitions, hasher, radix, slot_arena(slot),
-            [&](std::size_t b, detail::ArenaVector<Entry>&& seg) {
-              shipped += seg.size();
-              detail::guard_spill_io(spill_active, opts.name, p,
-                                     [&] { sink.push(slot, b, {p, seq, std::move(seg)}); });
-            });
-        ++seq;
-      };
-      for (const auto& x : in.partition(p)) {
-        bool created = false;
-        seen.find_or_emplace(x, [] { return char{0}; }, &created);
-        if (spill_active && seen.approx_bytes() != accounted_scratch) {
-          const auto delta = static_cast<std::ptrdiff_t>(seen.approx_bytes()) -
-                             static_cast<std::ptrdiff_t>(accounted_scratch);
-          accounted_scratch = seen.approx_bytes();
-          detail::guard_spill_io(spill_active, opts.name, p,
-                                 [&] { sink.adjust_scratch(slot, delta); });
-        }
-        if (seen.approx_bytes() > shuffle.target_buffer_bytes) {
-          auto full = std::move(seen.entries());
-          seen.clear();
-          ship(std::move(full));
-          flushes.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      if (!seen.empty()) {
-        auto full = std::move(seen.entries());
-        seen.clear();
-        ship(std::move(full));
-      }
-      if (spill_active && accounted_scratch != 0) {
-        sink.adjust_scratch(slot, -static_cast<std::ptrdiff_t>(accounted_scratch));
-      }
-      records_out.fetch_add(shipped, std::memory_order_relaxed);
-      bytes.fetch_add(shipped * sizeof(Entry), std::memory_order_relaxed);
-    });
-    note_shuffle_write(records_in.load(), records_out.load(), bytes.load(),
-                       flushes.load(), /*combine=*/true, sink.spilled_segments(),
-                       sink.spilled_bytes(), sink.fallback_segments(),
-                       sink.write_failures());
-    std::vector<std::vector<T>> out(out_partitions);
-    std::atomic<std::size_t> merged{0};
-    std::atomic<std::uint64_t> restored_segments{0};
-    std::atomic<std::uint64_t> restored_bytes{0};
-    std::vector<double> stream_s(out_partitions, 0.0);
-    std::vector<std::size_t> bucket_records(out_partitions, 0);
     StageOptions merge_opts;
     merge_opts.name = opts.name + "/merge";
     merge_opts.droppable = false;
     merge_opts.plan = opts.plan;  // per-stage speculation rides along
-    run_stage(out_partitions, merge_opts, EngineStageKind::kReduce, [&](std::size_t b) {
-      detail::FlatMap<T, char> unique;
-      std::size_t records = 0;
-      for (auto* segment : sink.bucket_segments(b)) {
-        const bool was_spilled = segment->spilled;
-        const auto t0 = was_spilled ? std::chrono::steady_clock::now()
-                                    : std::chrono::steady_clock::time_point{};
-        records += detail::guard_spill_io(spill_active, merge_opts.name, b, [&] {
-          return sink.consume(*segment, [&](Entry&& entry) {
-            bool created = false;
-            unique.find_or_emplace(entry.first, [] { return char{0}; }, &created);
-          });
-        });
-        if (was_spilled) {
-          stream_s[b] += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                             .count();
-          restored_segments.fetch_add(1, std::memory_order_relaxed);
-          restored_bytes.fetch_add(segment->spill_bytes, std::memory_order_relaxed);
-        }
-      }
-      // Every segment consumed: free the bucket (spilled storage included).
-      // Never throws, so the completed body cannot be retried half-freed.
-      sink.commit_bucket(b);
-      bucket_records[b] = records;
-      merged.fetch_add(records, std::memory_order_relaxed);
-      out[b].reserve(unique.size());
-      for (auto& entry : unique.entries()) out[b].push_back(std::move(entry.first));
-    });
-    note_shuffle_merge(merged.load(), restored_segments.load(), restored_bytes.load(),
-                       stream_s, bucket_records);
-    return Dataset<T>(std::move(out));
+    const auto none = [](auto&&...) {};
+    return shuffle_core<T, char>(
+        in, [](const T& x) -> const T& { return x; }, [](const T&) { return char{0}; },
+        /*fold=*/none, /*merge=*/none,
+        [](std::vector<std::pair<T, char>>&& entries) {
+          std::vector<T> keys;
+          keys.reserve(entries.size());
+          for (auto& entry : entries) keys.push_back(std::move(entry.first));
+          return keys;
+        },
+        out_partitions, std::move(opts), std::move(merge_opts), shuffle);
   }
 
   // Concatenates the partitions of two datasets (Spark's union).
@@ -546,183 +452,29 @@ class Engine {
   //   merge(A&, A&&)          combine two partial aggregates
   //
   // Phase 1 ("<name>/shuffle", kShuffleWrite, non-droppable) runs one task
-  // per input partition. Each task writes hash-partitioned segments into
-  // buffers owned by its worker slot — no locks on the write path (see
-  // shuffle.hpp) — optionally pre-combining through a per-task
-  // open-addressing map bounded by ShuffleOptions::target_buffer_bytes.
-  // Phase 2 ("<name>/reduce", kReduce, droppable per `opts`) runs one task
-  // per bucket, merging that bucket's segments in deterministic
-  // (input partition, flush) order; dropped merge tasks leave empty output
-  // partitions exactly like the old implementation. The map side was
-  // already subject to dropping when it produced `in`, so drop semantics
-  // are unchanged end to end.
-  //
-  // Both phases tolerate the fault-tolerant retry path: a write task that
-  // dies mid-partition leaves complete, deterministic segments behind and
-  // the merge collapses duplicate (src, seq) positions to one copy; a
-  // merge task that dies mid-bucket (spill I/O error, user functor throw)
-  // leaves its segments intact because consume() defers all destructive
-  // effects to the post-body commit_bucket() whenever a spill backend is
-  // attached — and without one, a re-entered bucket whose segments were
-  // already moved out fails loudly instead of merging them as empty.
+  // per input partition; phase 2 ("<name>/reduce", kReduce, droppable per
+  // `opts`) runs one task per bucket. Dropped merge tasks leave empty
+  // output partitions; the map side was already subject to dropping when
+  // it produced `in`, so drop semantics are unchanged end to end. See
+  // shuffle_core for the write, merge and retry contract.
   template <typename K, typename V, typename Create, typename Fold, typename Merge>
   auto combine_by_key(const Dataset<std::pair<K, V>>& in, Create create, Fold fold,
                       Merge merge, std::size_t out_partitions, StageOptions opts = {},
                       ShuffleOptions shuffle = {})
       -> Dataset<std::pair<K, std::invoke_result_t<Create, const V&>>> {
     using A = std::invoke_result_t<Create, const V&>;
-    using Entry = std::pair<K, A>;
-    DIAS_EXPECTS(out_partitions >= 1, "need at least one output partition");
-
-    if (opts.plan && !opts.plan->is_identity()) {
-      // Repartitioning a droppable merge stage running with theta > 0
-      // would change which buckets drop; apply_stage_plan skips the
-      // partition knobs there (the others stay content-preserving).
-      const double merge_theta =
-          opts.droppable ? (opts.drop_ratio_override >= 0.0 ? opts.drop_ratio_override
-                                                            : options_.drop_ratio)
-                         : 0.0;
-      apply_stage_plan(*opts.plan, shuffle, out_partitions, merge_theta,
-                       detail::is_spillable<Entry>::value, sizeof(Entry));
-    }
-    const detail::SpillPolicy spill_policy = make_spill_policy<Entry>(shuffle);
-    const bool spill_active = spill_policy.backend != nullptr;
-    // Declared before the sink: destroyed after it, so the arenas are
-    // recycled only once no segment from this shuffle is alive (merge
-    // outputs are heap-backed, so nothing escapes the epoch).
-    ArenaEpochGuard arena_guard(*this);
-    detail::ShuffleSink<K, A> sink(pool_.workers(), out_partitions, spill_policy);
-    std::atomic<std::size_t> records_in{0};
-    std::atomic<std::size_t> records_out{0};
-    std::atomic<std::size_t> bytes{0};
-    std::atomic<std::size_t> flushes{0};
-
     StageOptions write_opts;
     write_opts.name = opts.name + "/shuffle";
     write_opts.droppable = false;
     write_opts.plan = opts.plan;  // per-stage speculation rides along
-    run_stage(in.partitions(), write_opts, EngineStageKind::kShuffleWrite,
-              [&](std::size_t p) {
-                const std::size_t slot = pool_.current_slot();
-                std::hash<K> hasher;
-                const auto& part = in.partition(p);
-                records_in.fetch_add(part.size(), std::memory_order_relaxed);
-                std::size_t shipped = 0;
-                std::size_t seq = 0;
-                detail::RadixScratch radix;
-                // Splits a finished combiner scratch (or raw batch) into
-                // per-bucket segments and hands them to the sink. The radix
-                // split computes the same hasher(key) % buckets assignment
-                // and preserves input order per bucket, so segments are
-                // byte-identical to the old push-one-at-a-time loop.
-                auto ship = [&](std::vector<Entry>&& entries) {
-                  detail::radix_split(
-                      std::move(entries), out_partitions, hasher, radix, slot_arena(slot),
-                      [&](std::size_t b, detail::ArenaVector<Entry>&& seg) {
-                        shipped += seg.size();
-                        detail::guard_spill_io(spill_active, write_opts.name, p, [&] {
-                          sink.push(slot, b, {p, seq, std::move(seg)});
-                        });
-                      });
-                  ++seq;
-                };
-                if (shuffle.combine) {
-                  detail::FlatMap<K, A> scratch;
-                  // Scratch bytes reported to the sink so far; the delta
-                  // reporting keeps the combiner map inside the budget's
-                  // accounting without ever spilling the map itself.
-                  std::size_t accounted_scratch = 0;
-                  auto account_scratch = [&] {
-                    if (!spill_active || scratch.approx_bytes() == accounted_scratch) return;
-                    const auto delta = static_cast<std::ptrdiff_t>(scratch.approx_bytes()) -
-                                       static_cast<std::ptrdiff_t>(accounted_scratch);
-                    accounted_scratch = scratch.approx_bytes();
-                    detail::guard_spill_io(spill_active, write_opts.name, p,
-                                           [&] { sink.adjust_scratch(slot, delta); });
-                  };
-                  for (const auto& kv : part) {
-                    bool created = false;
-                    A& acc = scratch.find_or_emplace(
-                        kv.first, [&] { return create(kv.second); }, &created);
-                    if (!created) fold(acc, kv.second);
-                    account_scratch();
-                    if (scratch.approx_bytes() > shuffle.target_buffer_bytes) {
-                      auto full = std::move(scratch.entries());
-                      scratch.clear();
-                      ship(std::move(full));
-                      flushes.fetch_add(1, std::memory_order_relaxed);
-                    }
-                  }
-                  if (!scratch.empty()) ship(std::move(scratch.entries()));
-                  if (spill_active && accounted_scratch != 0) {
-                    sink.adjust_scratch(slot, -static_cast<std::ptrdiff_t>(accounted_scratch));
-                  }
-                } else {
-                  // Raw ships chunk at target_buffer_bytes too, so segment
-                  // boundaries stay budget-independent on this path as well.
-                  const std::size_t chunk_records =
-                      std::max<std::size_t>(1, shuffle.target_buffer_bytes / sizeof(Entry));
-                  std::vector<Entry> raw;
-                  raw.reserve(std::min(part.size(), chunk_records));
-                  for (const auto& kv : part) {
-                    raw.emplace_back(kv.first, create(kv.second));
-                    if (raw.size() >= chunk_records) {
-                      ship(std::move(raw));
-                      raw.clear();
-                    }
-                  }
-                  if (!raw.empty()) ship(std::move(raw));
-                }
-                records_out.fetch_add(shipped, std::memory_order_relaxed);
-                bytes.fetch_add(shipped * sizeof(Entry), std::memory_order_relaxed);
-              });
-    note_shuffle_write(records_in.load(), records_out.load(), bytes.load(),
-                       flushes.load(), shuffle.combine, sink.spilled_segments(),
-                       sink.spilled_bytes(), sink.fallback_segments(),
-                       sink.write_failures());
-
-    std::vector<std::vector<Entry>> out(out_partitions);
-    std::atomic<std::size_t> merged{0};
-    std::atomic<std::uint64_t> restored_segments{0};
-    std::atomic<std::uint64_t> restored_bytes{0};
-    // Per-bucket seconds spent streaming spilled segments back; one merge
-    // task per bucket, so no synchronization needed.
-    std::vector<double> stream_s(out_partitions, 0.0);
-    std::vector<std::size_t> bucket_records(out_partitions, 0);
-    StageOptions merge_opts = opts;
-    merge_opts.name = opts.name + "/reduce";
-    run_stage(out_partitions, merge_opts, EngineStageKind::kReduce, [&](std::size_t b) {
-      detail::FlatMap<K, A> acc;
-      std::size_t records = 0;
-      auto fold_entry = [&](Entry&& entry) {
-        bool created = false;
-        A& dst = acc.find_or_emplace(
-            entry.first, [&] { return std::move(entry.second); }, &created);
-        if (!created) merge(dst, std::move(entry.second));
-      };
-      for (auto* segment : sink.bucket_segments(b)) {
-        const bool was_spilled = segment->spilled;
-        const auto t0 = was_spilled ? std::chrono::steady_clock::now()
-                                    : std::chrono::steady_clock::time_point{};
-        records += detail::guard_spill_io(spill_active, merge_opts.name, b,
-                                          [&] { return sink.consume(*segment, fold_entry); });
-        if (was_spilled) {
-          stream_s[b] += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                             .count();
-          restored_segments.fetch_add(1, std::memory_order_relaxed);
-          restored_bytes.fetch_add(segment->spill_bytes, std::memory_order_relaxed);
-        }
-      }
-      // Every segment consumed: free the bucket (spilled storage included).
-      // Never throws, so the completed body cannot be retried half-freed.
-      sink.commit_bucket(b);
-      bucket_records[b] = records;
-      merged.fetch_add(records, std::memory_order_relaxed);
-      out[b] = std::move(acc.entries());
-    });
-    note_shuffle_merge(merged.load(), restored_segments.load(), restored_bytes.load(),
-                       stream_s, bucket_records);
-    return Dataset<std::pair<K, A>>(std::move(out));
+    StageOptions merge_opts = std::move(opts);
+    merge_opts.name += "/reduce";
+    return shuffle_core<K, A>(
+        in, [](const std::pair<K, V>& kv) -> const K& { return kv.first; },
+        [&create](const std::pair<K, V>& kv) { return create(kv.second); },
+        [&fold](A& acc, const std::pair<K, V>& kv) { fold(acc, kv.second); }, merge,
+        [](std::vector<std::pair<K, A>>&& entries) { return std::move(entries); },
+        out_partitions, std::move(write_opts), std::move(merge_opts), shuffle);
   }
 
   // --- actions -------------------------------------------------------------
@@ -778,6 +530,191 @@ class Engine {
                         std::size_t& out_partitions, double merge_theta,
                         bool entry_spillable, std::size_t entry_bytes);
 
+  // The drop ratio a stage runs with: 0 unless droppable, else the stage's
+  // override when set, else the engine-wide ratio.
+  double stage_theta(const StageOptions& opts) const {
+    if (!opts.droppable) return 0.0;
+    return opts.drop_ratio_override >= 0.0 ? opts.drop_ratio_override : options_.drop_ratio;
+  }
+
+  // The one two-phase shuffle under combine_by_key, reduce_by_key,
+  // group_by_key and distinct. Records of type In are keyed and folded
+  // into (K, A) entries through
+  //
+  //   key_of(const In&) -> const K&   the record's shuffle key
+  //   create(const In&) -> A          lift the first record seen for a key
+  //   fold(A&, const In&)             absorb one more record on the map side
+  //   merge(A&, A&&)                  combine two partial aggregates
+  //   finish(std::vector<(K, A)>&&)   turn a merged bucket into its output
+  //
+  // The write stage (`write_opts`, kShuffleWrite) runs one task per input
+  // partition. Each task writes hash-partitioned segments into buffers
+  // owned by its worker slot — no locks on the write path (see
+  // shuffle.hpp) — either pre-combining through a per-task open-addressing
+  // map flushed at ShuffleOptions::target_buffer_bytes, or (combine =
+  // false) shipping raw chunks of the same byte size. The merge stage
+  // (`merge_opts`, kReduce) runs one task per bucket, merging that
+  // bucket's segments in deterministic (input partition, flush) order and
+  // calling `finish` inside the task, so that work stays parallel and
+  // inside the stage timer.
+  //
+  // Both phases tolerate the fault-tolerant retry path: a write task that
+  // dies mid-partition leaves complete, deterministic segments behind and
+  // the merge collapses duplicate (src, seq) positions to one copy; a
+  // merge task that dies mid-bucket (spill I/O error, user functor throw)
+  // leaves its segments intact because consume() defers all destructive
+  // effects to the post-body commit_bucket() whenever a spill backend is
+  // attached — and without one, a re-entered bucket whose segments were
+  // already moved out fails loudly instead of merging them as empty.
+  template <typename K, typename A, typename In, typename KeyOf, typename Create,
+            typename Fold, typename Merge, typename Finish>
+  auto shuffle_core(const Dataset<In>& in, KeyOf key_of, Create create, Fold fold, Merge merge,
+                    Finish finish, std::size_t out_partitions, StageOptions write_opts,
+                    StageOptions merge_opts, ShuffleOptions shuffle)
+      -> Dataset<typename std::invoke_result_t<Finish, std::vector<std::pair<K, A>>&&>::
+                     value_type> {
+    using Entry = std::pair<K, A>;
+    using Out = typename std::invoke_result_t<Finish, std::vector<Entry>&&>::value_type;
+    DIAS_EXPECTS(out_partitions >= 1, "need at least one output partition");
+
+    if (merge_opts.plan && !merge_opts.plan->is_identity()) {
+      // Repartitioning a droppable merge stage running with theta > 0
+      // would change which buckets drop; apply_stage_plan skips the
+      // partition knobs there (the others stay content-preserving).
+      apply_stage_plan(*merge_opts.plan, shuffle, out_partitions, stage_theta(merge_opts),
+                       detail::is_spillable<Entry>::value, sizeof(Entry));
+    }
+    const detail::SpillPolicy spill_policy = make_spill_policy<Entry>(shuffle);
+    const bool spill_active = spill_policy.backend != nullptr;
+    // Declared before the sink: destroyed after it, so the arenas are
+    // recycled only once no segment from this shuffle is alive (merge
+    // outputs are heap-backed, so nothing escapes the epoch).
+    ArenaEpochGuard arena_guard(*this);
+    detail::ShuffleSink<K, A> sink(pool_.workers(), out_partitions, spill_policy);
+    std::atomic<std::size_t> records_in{0};
+    std::atomic<std::size_t> records_out{0};
+    std::atomic<std::size_t> bytes{0};
+    std::atomic<std::size_t> flushes{0};
+
+    run_stage(in.partitions(), write_opts, EngineStageKind::kShuffleWrite, [&](std::size_t p) {
+      const std::size_t slot = pool_.current_slot();
+      std::hash<K> hasher;
+      const auto& part = in.partition(p);
+      records_in.fetch_add(part.size(), std::memory_order_relaxed);
+      std::size_t shipped = 0;
+      std::size_t seq = 0;
+      detail::RadixScratch radix;
+      // Splits a finished combiner scratch (or raw batch) into per-bucket
+      // segments and hands them to the sink. The radix split computes the
+      // same hasher(key) % buckets assignment and preserves input order
+      // per bucket, so segments are byte-identical to a push-one-at-a-time
+      // loop.
+      auto ship = [&](std::vector<Entry>&& entries) {
+        detail::radix_split(
+            std::move(entries), out_partitions, hasher, radix, slot_arena(slot),
+            [&](std::size_t b, detail::ArenaVector<Entry>&& seg) {
+              shipped += seg.size();
+              detail::guard_spill_io(spill_active, write_opts.name, p,
+                                     [&] { sink.push(slot, b, {p, seq, std::move(seg)}); });
+            });
+        ++seq;
+      };
+      if (shuffle.combine) {
+        detail::FlatMap<K, A> scratch;
+        // Scratch bytes reported to the sink so far; the delta reporting
+        // keeps the combiner map inside the budget's accounting without
+        // ever spilling the map itself.
+        std::size_t accounted_scratch = 0;
+        auto account_scratch = [&] {
+          if (!spill_active || scratch.approx_bytes() == accounted_scratch) return;
+          const auto delta = static_cast<std::ptrdiff_t>(scratch.approx_bytes()) -
+                             static_cast<std::ptrdiff_t>(accounted_scratch);
+          accounted_scratch = scratch.approx_bytes();
+          detail::guard_spill_io(spill_active, write_opts.name, p,
+                                 [&] { sink.adjust_scratch(slot, delta); });
+        };
+        for (const auto& record : part) {
+          bool created = false;
+          A& acc = scratch.find_or_emplace(
+              key_of(record), [&] { return create(record); }, &created);
+          if (!created) fold(acc, record);
+          account_scratch();
+          if (scratch.approx_bytes() > shuffle.target_buffer_bytes) {
+            auto full = std::move(scratch.entries());
+            scratch.clear();
+            ship(std::move(full));
+            flushes.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        if (!scratch.empty()) ship(std::move(scratch.entries()));
+        if (spill_active && accounted_scratch != 0) {
+          sink.adjust_scratch(slot, -static_cast<std::ptrdiff_t>(accounted_scratch));
+        }
+      } else {
+        // Raw ships chunk at target_buffer_bytes too, so segment
+        // boundaries stay budget-independent on this path as well.
+        const std::size_t chunk_records =
+            std::max<std::size_t>(1, shuffle.target_buffer_bytes / sizeof(Entry));
+        std::vector<Entry> raw;
+        raw.reserve(std::min(part.size(), chunk_records));
+        for (const auto& record : part) {
+          raw.emplace_back(key_of(record), create(record));
+          if (raw.size() >= chunk_records) {
+            ship(std::move(raw));
+            raw.clear();
+          }
+        }
+        if (!raw.empty()) ship(std::move(raw));
+      }
+      records_out.fetch_add(shipped, std::memory_order_relaxed);
+      bytes.fetch_add(shipped * sizeof(Entry), std::memory_order_relaxed);
+    });
+    note_shuffle_write(records_in.load(), records_out.load(), bytes.load(), flushes.load(),
+                       shuffle.combine, sink.spilled_segments(), sink.spilled_bytes(),
+                       sink.fallback_segments(), sink.write_failures());
+
+    std::vector<std::vector<Out>> out(out_partitions);
+    std::atomic<std::size_t> merged{0};
+    std::atomic<std::uint64_t> restored_segments{0};
+    std::atomic<std::uint64_t> restored_bytes{0};
+    // Per-bucket seconds spent streaming spilled segments back; one merge
+    // task per bucket, so no synchronization needed.
+    std::vector<double> stream_s(out_partitions, 0.0);
+    std::vector<std::size_t> bucket_records(out_partitions, 0);
+    run_stage(out_partitions, merge_opts, EngineStageKind::kReduce, [&](std::size_t b) {
+      detail::FlatMap<K, A> acc;
+      std::size_t records = 0;
+      auto fold_entry = [&](Entry&& entry) {
+        bool created = false;
+        A& dst = acc.find_or_emplace(
+            entry.first, [&] { return std::move(entry.second); }, &created);
+        if (!created) merge(dst, std::move(entry.second));
+      };
+      for (auto* segment : sink.bucket_segments(b)) {
+        const bool was_spilled = segment->spilled;
+        const auto t0 = was_spilled ? std::chrono::steady_clock::now()
+                                    : std::chrono::steady_clock::time_point{};
+        records += detail::guard_spill_io(spill_active, merge_opts.name, b,
+                                          [&] { return sink.consume(*segment, fold_entry); });
+        if (was_spilled) {
+          stream_s[b] += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                             .count();
+          restored_segments.fetch_add(1, std::memory_order_relaxed);
+          restored_bytes.fetch_add(segment->spill_bytes, std::memory_order_relaxed);
+        }
+      }
+      // Every segment consumed: free the bucket (spilled storage included).
+      // Never throws, so the completed body cannot be retried half-freed.
+      sink.commit_bucket(b);
+      bucket_records[b] = records;
+      merged.fetch_add(records, std::memory_order_relaxed);
+      out[b] = finish(std::move(acc.entries()));
+    });
+    note_shuffle_merge(merged.load(), restored_segments.load(), restored_bytes.load(),
+                       stream_s, bucket_records);
+    return Dataset<Out>(std::move(out));
+  }
+
   // The installed cancellation token, or null when detached.
   const CancellationToken* cancel_token() const {
     return cancel_.has_value() ? &*cancel_ : nullptr;
@@ -827,6 +764,7 @@ class Engine {
   detail::SpillPolicy make_spill_policy(const ShuffleOptions& shuffle) {
     detail::SpillPolicy policy;
     policy.fallback_counter = obs_.shuffle_fallback_locks;
+    policy.breaker = &spill_breaker_;
     const bool from_env = shuffle.memory_budget_bytes == ShuffleOptions::kBudgetFromEnv;
     const std::size_t budget =
         from_env ? detail::default_shuffle_budget() : shuffle.memory_budget_bytes;
@@ -853,7 +791,6 @@ class Engine {
       }
       policy.budget_bytes = budget;
       policy.backend = backend;
-      policy.breaker = &spill_breaker_;
       return policy;
     }
   }
@@ -863,8 +800,7 @@ class Engine {
   void note_shuffle_write(std::size_t records_in, std::size_t records_out,
                           std::size_t bytes, std::size_t flushes, bool combine,
                           std::uint64_t spill_segments, std::uint64_t spill_bytes,
-                          std::uint64_t fallback_segments = 0,
-                          std::uint64_t write_failures = 0);
+                          std::uint64_t fallback_segments, std::uint64_t write_failures);
   void note_shuffle_merge(std::size_t records, std::uint64_t restored_segments,
                           std::uint64_t restored_bytes,
                           const std::vector<double>& stream_s,

@@ -42,7 +42,7 @@
 // count. The spill *trigger* may race across slots — that is fine,
 // because triggering only relocates bytes. See DESIGN.md §13.
 //
-// The stage barrier between the phases (futures joined in run_stage)
+// The stage barrier between the phases (the wave joined in run_stage)
 // provides the happens-before edge that lets merge tasks read every
 // slot's buffers without synchronization.
 #pragma once
@@ -75,8 +75,9 @@ std::size_t default_shuffle_budget();
 }  // namespace detail
 
 // Tuning knobs for the shuffle in reduce_by_key / group_by_key /
-// combine_by_key. The defaults are right for almost every workload;
-// combine = false is mainly useful for benchmarking the raw shuffle.
+// combine_by_key / distinct. The defaults are right for almost every
+// workload; combine = false is mainly useful for benchmarking the raw
+// shuffle.
 struct ShuffleOptions {
   // Run the map-side combiner: fold records into a per-task
   // open-addressing hash map before they cross the shuffle, so each
@@ -270,13 +271,11 @@ struct SpillPolicy {
   // destroyed registry's) counter. The owning registry must outlive the
   // shuffle — the same lifetime every other engine counter already has.
   obs::Counter* fallback_counter = nullptr;
-  // Circuit breaker governing spill WRITES (ISSUE 10). With a breaker
-  // attached, a failed or breaker-denied write keeps the segment resident
+  // Circuit breaker governing spill WRITES; required whenever `backend`
+  // is set. A failed or breaker-denied write keeps the segment resident
   // (spilling is pure relocation, so in-memory is always a sound
   // fallback) and feeds the breaker; reads are never denied but their
-  // failures feed it too. Null (the default, and every directly
-  // constructed test sink) keeps the PR 6 semantics: write failures
-  // propagate out of push() like any spill I/O error.
+  // failures feed it too.
   SpillBreaker* breaker = nullptr;
 };
 
@@ -302,7 +301,10 @@ class ShuffleSink {
   static constexpr bool kSpillable = is_spillable<Entry>::value;
 
   ShuffleSink(std::size_t slots, std::size_t buckets, SpillPolicy policy = {})
-      : policy_(policy), slots_(slots, SlotState(buckets)), overflow_(buckets) {}
+      : policy_(policy), slots_(slots, SlotState(buckets)), overflow_(buckets) {
+    DIAS_EXPECTS(policy.backend == nullptr || policy.breaker != nullptr,
+                 "a spill backend needs a circuit breaker");
+  }
 
   ~ShuffleSink() {
     // Segments the merge phase never consumed (dropped buckets, aborted
@@ -431,10 +433,10 @@ class ShuffleSink {
           throw error("corrupt spill segment: entry count mismatch");
         }
       } catch (const error&) {
-        if (policy_.breaker != nullptr) policy_.breaker->record_failure();
+        policy_.breaker->record_failure();
         throw;
       }
-      if (policy_.breaker != nullptr) policy_.breaker->record_success();
+      policy_.breaker->record_success();
       restored_segments_.fetch_add(1, std::memory_order_relaxed);
       return count;
     } else {
@@ -533,27 +535,21 @@ class ShuffleSink {
       // and records the failure. Either way the shuffle degrades to the
       // in-memory path it already supports bit-for-bit — the budget is
       // overshot, the bytes are intact.
-      if (policy_.breaker != nullptr && !policy_.breaker->allow()) {
+      if (!policy_.breaker->allow()) {
         fallback_segments_.fetch_add(1, std::memory_order_relaxed);
         return;
       }
       const std::size_t bytes = segment.entries.size() * sizeof(Entry);
       const std::string encoded = encode_spill_segment(segment.entries);
-      std::uint64_t id = 0;
-      if (policy_.breaker != nullptr) {
-        try {
-          id = policy_.backend->write(encoded);
-        } catch (const error&) {
-          policy_.breaker->record_failure();
-          write_failures_.fetch_add(1, std::memory_order_relaxed);
-          fallback_segments_.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-        policy_.breaker->record_success();
-      } else {
-        id = policy_.backend->write(encoded);
+      try {
+        segment.spill_id = policy_.backend->write(encoded);
+      } catch (const error&) {
+        policy_.breaker->record_failure();
+        write_failures_.fetch_add(1, std::memory_order_relaxed);
+        fallback_segments_.fetch_add(1, std::memory_order_relaxed);
+        return;
       }
-      segment.spill_id = id;
+      policy_.breaker->record_success();
       segment.spill_entries = segment.entries.size();
       segment.spill_bytes = encoded.size();
       segment.spilled = true;

@@ -200,13 +200,12 @@ TEST_F(ChaosSoakTest, EveryEnginePathPointFiresAndStaysTerminal) {
     const char* point;
     bool must_complete_exact;  // absorbable fault: breaker/fallback path
   };
-  // pool.wave is absent here: it fires outside the engine's attempt loop,
-  // so a wave-lane throw is never absorbed by retries and ends the run
-  // with the ChaosError itself. The wave point is soaked by
-  // thread_pool_test's WaveChaosTest legs against the pool directly, and
-  // by the wildcard sweeps above.
+  // pool.wave fires outside the engine's attempt loop, so a wave-lane
+  // throw is never absorbed by retries: at rate 1.0 the stage ends with
+  // the ChaosError itself, which its leg checks below.
   const Leg legs[] = {
       {points::kEngineTask, false},    // retries exhaust -> TaskFailedError
+      {points::kPoolWave, false},      // terminal ChaosError, never retried
       {points::kSpillWrite, true},     // breaker trips, in-memory fallback
       {points::kStorageWrite, true},   // device-level write fault, same path
       {points::kSpillOpen, false},     // merge read-back faults at open
@@ -227,6 +226,9 @@ TEST_F(ChaosSoakTest, EveryEnginePathPointFiresAndStaysTerminal) {
       if (out.completed) {
         EXPECT_TRUE(counts_exact(out.result));
       }
+    } else if (std::string(leg.point) == points::kPoolWave) {
+      EXPECT_FALSE(out.completed);
+      EXPECT_EQ(out.error.rfind("chaos:", 0), 0u) << out.error;
     } else if (!out.completed) {
       EXPECT_FALSE(out.error.empty());
     }

@@ -397,6 +397,58 @@ TEST(ShuffleMetamorphicTest, InvariantUnderCombinerToggleAndBufferSize) {
   }
 }
 
+// distinct against a naive fold written here (no engine): bucket b must
+// list the elements hashing to b in first-appearance order over
+// (input partition, record). Covers the single-task and the
+// many-flush write paths at 1 and 3 workers, and the raw (combine = false)
+// ship path, so an order change common to every path cannot pass.
+TEST(ShufflePropertyTest, DistinctMatchesFirstAppearanceFold) {
+  constexpr std::size_t kBuckets = 5;
+  Rng rng(515);
+  std::vector<std::uint64_t> input(40000);
+  for (auto& x : input) x = rng.uniform_int(3000);
+
+  // parallelize splits contiguously, so (partition, record) order is the
+  // input order.
+  std::vector<std::vector<std::uint64_t>> expected(kBuckets);
+  std::set<std::uint64_t> seen;
+  for (const auto x : input) {
+    if (seen.insert(x).second) expected[std::hash<std::uint64_t>{}(x) % kBuckets].push_back(x);
+  }
+
+  auto run = [&](std::size_t workers, std::size_t buffer, bool combine) {
+    Engine::Options o = engine_opts(515);
+    o.workers = workers;
+    Engine eng(o);
+    const auto ds = eng.parallelize(input, 9);
+    eng.clear_stage_log();
+    StageOptions opts;
+    opts.name = "dedup";
+    ShuffleOptions shuffle;
+    shuffle.combine = combine;
+    shuffle.target_buffer_bytes = buffer;
+    const auto out = eng.distinct(ds, kBuckets, opts, shuffle);
+    std::vector<std::vector<std::uint64_t>> buckets;
+    for (std::size_t b = 0; b < out.partitions(); ++b) buckets.push_back(out.partition(b));
+    return std::make_pair(buckets, eng.stage_log());
+  };
+
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    for (const std::size_t buffer : {std::size_t{1} << 20, std::size_t{2048}}) {
+      const auto [buckets, log] = run(workers, buffer, true);
+      EXPECT_EQ(buckets, expected) << "workers=" << workers << " buffer=" << buffer;
+      ASSERT_EQ(log.size(), 2u);
+      EXPECT_EQ(log[0].name, "dedup");
+      EXPECT_EQ(log[0].kind, EngineStageKind::kShuffleWrite);
+      EXPECT_EQ(log[1].name, "dedup/merge");
+      EXPECT_EQ(log[1].kind, EngineStageKind::kReduce);
+      EXPECT_EQ(log[0].shuffle_records_in, 40000u);
+      EXPECT_EQ(log[1].shuffle_records_in, log[0].shuffle_records_out);
+    }
+    EXPECT_EQ(run(workers, 2048, false).first, expected) << "combine=false workers=" << workers;
+  }
+}
+
 TEST(ShufflePropertyTest, StringKeysWorkEndToEnd) {
   Rng rng(123);
   std::vector<std::pair<std::string, std::int64_t>> records;

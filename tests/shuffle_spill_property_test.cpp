@@ -196,6 +196,19 @@ TEST(ShuffleSpillPropertyTest, FiniteBudgetWithoutBackendFailsFast) {
   }
 }
 
+// A failed spill write falls back to memory only through the breaker, so a
+// sink that can spill must carry one.
+TEST(ShuffleSpillPropertyTest, SinkWithBackendRequiresBreaker) {
+  MemorySpill spill;
+  detail::SpillPolicy policy;
+  policy.budget_bytes = 1024;
+  policy.backend = &spill;
+  EXPECT_THROW((detail::ShuffleSink<int, int>(2, 3, policy)), precondition_error);
+  SpillBreaker breaker;
+  policy.breaker = &breaker;
+  EXPECT_NO_THROW((detail::ShuffleSink<int, int>(2, 3, policy)));
+}
+
 // A key type without a SpillCodec still compiles and runs unbounded, but a
 // finite budget must be rejected up front rather than failing mid-spill.
 struct OpaqueKey {
