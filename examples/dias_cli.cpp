@@ -58,24 +58,20 @@ void usage(const char* prog) {
       "                                uses the first --theta value as drop ratio\n"
       "  --rows <n>                    corpus rows (default 2000)\n"
       "  --partitions <n>              input partitions / map tasks (default 40)\n"
-      "  --fault-rate <p>              injected per-attempt task failure prob (default 0)\n"
-      "  --straggler-rate <p>          injected straggler probability (default 0)\n"
-      "  --straggler-delay-ms <ms>     injected straggler delay (default 50)\n"
       "  --max-attempts <n>            attempts per task before degradation (default 3)\n"
-      "  --retry-backoff-ms <ms>       linear backoff between attempts (default 0)\n"
+      "  --retry-backoff-ms <ms>       base of the capped decorrelated-jitter backoff\n"
+      "                                between attempts (default 0 = none)\n"
       "  --speculation                 speculatively re-execute stage-tail stragglers\n"
-      "  --fault-all-stages            inject into non-droppable stages too (a dead\n"
-      "                                task there aborts the job with TaskFailedError)\n"
-      "  --fault-seed <n>              injector seed (default 99)\n"
       "  --chaos-seed <n>              chaos plane seed (default 0); same seed =>\n"
       "                                the same injection decisions\n"
       "  --chaos-rate <p>              arm every chaos injection point with throw\n"
       "                                faults at rate p (spill writes degrade via\n"
       "                                the circuit breaker, tasks retry)\n"
       "  --chaos-points <spec>         full chaos grammar, e.g.\n"
-      "                                'spill.write=throw:0.2,pool.wave=stall:0.05:20'\n"
+      "                                'engine.task=throw:0.2,spill.write=throw:0.1'\n"
       "                                (shapes: throw|stall|corrupt; selectors may\n"
-      "                                end in '*')\n"
+      "                                end in '*'; at engine.task, throw fails a\n"
+      "                                task attempt and stall makes a straggler)\n"
       "  --shuffle-budget-bytes <n>    hard cap on resident shuffle memory; overflow\n"
       "                                spills through a BlockStore and the results\n"
       "                                stay byte-identical (0 = unbounded, default)\n"
@@ -650,9 +646,6 @@ int main(int argc, char** argv) {
   std::size_t partitions = 40;
   engine::FaultToleranceOptions fault;
   fault.max_attempts = 3;
-  fault.injection.straggler_delay_ms = 50.0;
-  fault.injection.droppable_only = true;
-  fault.injection.seed = 99;
   std::uint64_t chaos_seed = 0;
   double chaos_rate = 0.0;
   std::string chaos_points;
@@ -755,22 +748,12 @@ int main(int argc, char** argv) {
       rows = static_cast<std::size_t>(std::stoul(next()));
     } else if (arg == "--partitions") {
       partitions = static_cast<std::size_t>(std::stoul(next()));
-    } else if (arg == "--fault-rate") {
-      fault.injection.fail_prob = std::stod(next());
-    } else if (arg == "--straggler-rate") {
-      fault.injection.straggler_prob = std::stod(next());
-    } else if (arg == "--straggler-delay-ms") {
-      fault.injection.straggler_delay_ms = std::stod(next());
     } else if (arg == "--max-attempts") {
       fault.max_attempts = std::stoi(next());
     } else if (arg == "--retry-backoff-ms") {
       fault.retry_backoff_ms = std::stod(next());
     } else if (arg == "--speculation") {
       fault.speculation = true;
-    } else if (arg == "--fault-all-stages") {
-      fault.injection.droppable_only = false;
-    } else if (arg == "--fault-seed") {
-      fault.injection.seed = std::stoull(next());
     } else if (arg == "--chaos-seed") {
       chaos_seed = std::stoull(next());
     } else if (arg == "--chaos-rate") {

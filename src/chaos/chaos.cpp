@@ -1,9 +1,7 @@
 #include "chaos/chaos.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <thread>
 #include <utility>
 
 namespace dias::chaos {
@@ -59,6 +57,17 @@ Shape parse_shape(const std::string& text) {
   if (text == "corrupt") return Shape::kCorrupt;
   throw config_error("chaos: unknown fault shape '" + text +
                      "' (expected throw|stall|corrupt)");
+}
+
+// The one range check on a binding, shared by the string grammar and
+// programmatic install().
+void check_spec(const std::string& binding, const PointSpec& spec) {
+  if (!(spec.rate >= 0.0 && spec.rate <= 1.0)) {
+    throw config_error("chaos: rate must be in [0,1] in '" + binding + "'");
+  }
+  if (!(spec.stall_ms >= 0.0)) {
+    throw config_error("chaos: stall_ms must be >= 0 in '" + binding + "'");
+  }
 }
 
 double parse_double(const std::string& text, const char* what) {
@@ -121,15 +130,10 @@ std::vector<std::pair<std::string, PointSpec>> ChaosSchedule::parse_points(
     const std::string rate_text =
         c2 == std::string::npos ? rhs.substr(c1 + 1) : rhs.substr(c1 + 1, c2 - c1 - 1);
     spec.rate = parse_double(rate_text, "rate");
-    if (spec.rate < 0.0 || spec.rate > 1.0) {
-      throw config_error("chaos: rate must be in [0,1] in '" + entry + "'");
-    }
     if (c2 != std::string::npos) {
       spec.stall_ms = parse_double(rhs.substr(c2 + 1), "stall_ms");
-      if (spec.stall_ms < 0.0) {
-        throw config_error("chaos: stall_ms must be >= 0 in '" + entry + "'");
-      }
     }
+    check_spec(entry, spec);
     out.emplace_back(selector, spec);
   }
   return out;
@@ -179,26 +183,17 @@ InjectionPoint::Decision InjectionPoint::decide(std::uint64_t a, std::uint64_t b
 }
 
 bool InjectionPoint::inject(std::uint64_t a, std::uint64_t b, std::uint64_t c,
-                            const CancellationToken* cancel) {
+                            const CancellationToken* cancel,
+                            const std::atomic<bool>* done) {
   const Decision d = decide(a, b, c);
   if (!d.fire) return false;
   fired_.fetch_add(1, std::memory_order_relaxed);
   switch (d.shape) {
     case Shape::kThrow:
       throw ChaosError("injected fault at " + name_);
-    case Shape::kStall: {
-      // Bounded, cancellation-aware sleep: poll in 1ms slices like the
-      // engine's interruptible_sleep_ms, so a fired token is never held
-      // back by an injected stall.
-      using clock = std::chrono::steady_clock;
-      const auto deadline =
-          clock::now() + std::chrono::duration_cast<clock::duration>(
-                             std::chrono::duration<double, std::milli>(d.stall_ms));
-      while (!(cancel != nullptr && cancel->cancelled()) && clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+    case Shape::kStall:
+      interruptible_sleep_ms(d.stall_ms, cancel, done);
       return false;
-    }
     case Shape::kCorrupt:
       return true;
   }
@@ -247,6 +242,7 @@ InjectionPoint& ChaosPlane::point(std::string_view name) {
 }
 
 void ChaosPlane::install(const ChaosSchedule& schedule) {
+  for (const auto& [selector, spec] : schedule.points) check_spec(selector, spec);
   std::lock_guard lock(mu_);
   installed_ = schedule;
   std::size_t armed = 0;

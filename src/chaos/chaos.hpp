@@ -1,11 +1,10 @@
 // dias::chaos — the unified, deterministic fault-injection plane (ISSUE 10).
 //
-// PR 1's FaultInjector throws from compute-task bodies and nothing else;
-// PR 6's spill faults were hand-rolled per test. This plane generalizes
-// both: every subsystem registers *named injection points* (engine task
-// bodies, thread-pool wave lanes, spill backend write/open/read, block
-// store I/O, dispatcher admission, arena allocation), and one seeded
-// ChaosSchedule arms any subset of them with a fault shape:
+// The process's one source of injected faults: every subsystem registers
+// *named injection points* (engine task attempts, thread-pool wave lanes,
+// spill backend write/open/read, block store I/O, dispatcher admission,
+// arena allocation), and one seeded ChaosSchedule arms any subset of them
+// with a fault shape:
 //
 //   kThrow   — raise ChaosError (a dias::error) at the point
 //   kStall   — sleep a bounded, configured latency (the dominant
@@ -22,7 +21,9 @@
 // interleaving at the coordinate-stable sites; the soak battery asserts
 // reproducibility at the outcome level (result bytes + JobOutcome) either
 // way. Injected stalls are bounded by kMaxStallMs and cancellation-aware
-// at sites that hold a token, so chaos can slow a job but never wedge it.
+// at sites that hold a token, so chaos can slow a job but never wedge it;
+// the engine.task site also passes its task's `done` flag, so a
+// speculative copy that completes the partition ends the primary's stall.
 //
 // Fast path: a disarmed point costs one relaxed atomic load and a
 // predictable branch (`armed()`); the decision hash runs only when armed.
@@ -69,7 +70,9 @@ const char* to_string(Shape shape);
 inline constexpr double kMaxStallMs = 2000.0;
 
 // Per-point arming: fire with probability `rate` per decision, acting out
-// `shape` (kStall sleeps `stall_ms`, clamped to kMaxStallMs).
+// `shape` (kStall sleeps `stall_ms`, clamped to kMaxStallMs). Both
+// install() and parse_points() reject a rate outside [0, 1] or a negative
+// stall_ms with config_error.
 struct PointSpec {
   double rate = 0.0;
   Shape shape = Shape::kThrow;
@@ -122,11 +125,12 @@ class InjectionPoint {
   Decision decide(std::uint64_t a, std::uint64_t b = 0, std::uint64_t c = 0) const;
 
   // decide() + act: kThrow raises ChaosError, kStall sleeps (bounded by
-  // kMaxStallMs, returning early when `cancel` fires), kCorrupt returns
-  // true so the caller mangles its bytes. Returns false when nothing fired
-  // or a non-corrupt shape completed.
+  // kMaxStallMs, returning early when `cancel` fires or `done` becomes
+  // true), kCorrupt returns true so the caller mangles its bytes. Returns
+  // false when nothing fired or a non-corrupt shape completed.
   bool inject(std::uint64_t a, std::uint64_t b = 0, std::uint64_t c = 0,
-              const CancellationToken* cancel = nullptr);
+              const CancellationToken* cancel = nullptr,
+              const std::atomic<bool>* done = nullptr);
 
   // Fallback coordinate for sites with no scheduling-independent identity
   // (arena allocations, reader chunks): a per-point op counter, reset to 0
@@ -171,8 +175,10 @@ class ChaosPlane {
   InjectionPoint& point(std::string_view name);
 
   // Arms matching points and remembers the schedule for points registered
-  // later. Not safe against concurrently *armed* chaos-sensitive work;
-  // install between jobs (tests use ScopedChaos around whole scenarios).
+  // later; a binding with an out-of-range spec is a config_error and leaves
+  // the installed schedule untouched. Not safe against concurrently *armed*
+  // chaos-sensitive work; install between jobs (tests use ScopedChaos
+  // around whole scenarios).
   void install(const ChaosSchedule& schedule);
   // Disarms everything and forgets the installed schedule.
   void clear();
@@ -233,8 +239,8 @@ inline constexpr const char* kArenaAlloc = "engine.arena.alloc";
 
 namespace detail {
 
-// splitmix64 finalizer — the same mixer FaultInjector has always used;
-// chaos decisions and fault-injector decisions share one decision core.
+// splitmix64 finalizer — the decision core behind every chaos decision
+// and the engine's retry-backoff jitter.
 std::uint64_t mix(std::uint64_t x);
 
 // Independent uniform in [0, 1) per coordinate tuple (top 53 bits, the

@@ -1,9 +1,10 @@
 // Cooperative cancellation for the job-lifecycle robustness layer.
 //
 // The dispatcher hands every job a CancellationToken; the engine polls it
-// between partitions (and inside retry backoff / straggler sleeps), so a
-// job that outlives its per-class deadline is cut short mid-stage instead
-// of running to completion — releasing its workers and any sprint lease.
+// between partitions (and inside retry backoff / injected stalls, through
+// interruptible_sleep_ms below), so a job that outlives its per-class
+// deadline is cut short mid-stage instead of running to completion —
+// releasing its workers and any sprint lease.
 // Cancellation is *cooperative*: requesting it never interrupts a running
 // task body, it only stops new work from starting (the same non-preemptive
 // contract the paper's dispatcher keeps).
@@ -15,8 +16,10 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "common/error.hpp"
 
@@ -54,5 +57,22 @@ class CancellationToken {
   };
   std::shared_ptr<State> state_;
 };
+
+// Sleeps roughly `ms` in 1 ms slices, returning early once the optional
+// token fires or the optional `done` flag becomes true. The one sleep
+// behind retry backoff and injected chaos stalls: neither a deadline
+// cancel nor a speculative win is ever held back by a sleeping loser.
+inline void interruptible_sleep_ms(double ms, const CancellationToken* cancel,
+                                   const std::atomic<bool>* done = nullptr) {
+  using clock = std::chrono::steady_clock;
+  const auto deadline =
+      clock::now() + std::chrono::duration_cast<clock::duration>(
+                         std::chrono::duration<double, std::milli>(ms));
+  while (!(cancel != nullptr && cancel->cancelled()) &&
+         !(done != nullptr && done->load(std::memory_order_acquire)) &&
+         clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 }  // namespace dias

@@ -334,11 +334,9 @@ void Engine::run_stage(std::size_t n, const StageOptions& opts, EngineStageKind 
   // absorbs failures even when the policy itself is inert. Disarmed cost:
   // one relaxed load. Without either, a body's exception is the stage's.
   const bool tolerant = ft.active() || chaos::ChaosPlane::instance().armed();
-  // Injection may be scoped to droppable stages; retry/speculation still
-  // guard against genuine (user-code) failures on immune stages.
-  const bool inject = !(ft.injection.droppable_only && !opts.droppable);
-  // Chaos engine.task point: fires per attempt alongside the injector,
-  // with the same scheduling-independent coordinates.
+  // Chaos engine.task point, the engine's one source of task faults: fires
+  // per primary attempt on scheduling-independent (stage, partition,
+  // attempt) coordinates.
   static chaos::InjectionPoint& chaos_task =
       chaos::ChaosPlane::instance().point(chaos::points::kEngineTask);
   const auto cancel_requested = [cancel] {
@@ -401,7 +399,6 @@ void Engine::run_stage(std::size_t n, const StageOptions& opts, EngineStageKind 
   auto primary = [&](std::size_t idx) {
     TaskState& st = tasks[idx];
     const std::size_t part = selected[idx];
-    const double delay_ms = inject ? injector_.straggler_delay_ms(stage_seq, part) : 0.0;
     for (int attempt = 1; attempt <= ft.max_attempts; ++attempt) {
       if (st.done.load(std::memory_order_acquire)) break;  // speculation won
       // Cancellation point between attempts: an abandoned task is neither
@@ -410,18 +407,15 @@ void Engine::run_stage(std::size_t n, const StageOptions& opts, EngineStageKind 
       st.attempts.fetch_add(1, std::memory_order_relaxed);
       st.primary_attempts.fetch_add(1, std::memory_order_relaxed);
       st.attempt_start_ns.store(now_ns(), std::memory_order_relaxed);
-      if (delay_ms > 0.0) {
-        interruptible_sleep_ms(delay_ms, st.done, cancel);
-        if (st.done.load(std::memory_order_acquire) || cancel_requested()) break;
-      }
-      bool attempt_failed = inject && injector_.should_fail(stage_seq, part, attempt);
-      if (!attempt_failed && chaos_task.armed()) {
+      bool attempt_failed = false;
+      if (chaos_task.armed()) {
         try {
-          // kThrow is absorbed here like an injected fault; kStall sleeps
-          // (bounded, cancel-aware) and leaves the attempt healthy, so the
-          // watchdog — not the retry budget — is what rescues a stalled task.
+          // kThrow is absorbed here as a failed attempt; kStall sleeps
+          // (bounded, ended early by a cancel or by a speculative copy
+          // completing the partition) and leaves the attempt healthy, so
+          // speculation — not the retry budget — rescues a stalled task.
           chaos_task.inject(stage_seq, part, static_cast<std::uint64_t>(attempt),
-                            cancel);
+                            cancel, &st.done);
         } catch (const chaos::ChaosError&) {
           attempt_failed = true;
         }
@@ -432,7 +426,7 @@ void Engine::run_stage(std::size_t n, const StageOptions& opts, EngineStageKind 
           break;  // the partition is complete (by us or a faster copy)
         } catch (...) {
           if (!tolerant) throw;
-          // User-code failure: retried exactly like an injected fault. The
+          // User-code failure: retried exactly like a chaos fault. The
           // body must be idempotent (see run_stage contract).
           attempt_failed = true;
         }
@@ -440,8 +434,9 @@ void Engine::run_stage(std::size_t n, const StageOptions& opts, EngineStageKind 
       if (attempt == ft.max_attempts) {
         st.failed.store(true, std::memory_order_release);
       } else {
-        const double backoff = backoff_delay_ms(ft, stage_seq, part, attempt);
-        if (backoff > 0.0) interruptible_sleep_ms(backoff, st.done, cancel);
+        const double backoff =
+            backoff_delay_ms(ft, options_.seed, stage_seq, part, attempt);
+        if (backoff > 0.0) interruptible_sleep_ms(backoff, cancel, &st.done);
       }
     }
     st.primary_finished.store(true, std::memory_order_release);
@@ -452,9 +447,9 @@ void Engine::run_stage(std::size_t n, const StageOptions& opts, EngineStageKind 
     progress_cv.notify_all();
   };
 
-  // A speculative copy models re-execution on a healthy node: no injected
-  // fault, no straggler delay, single attempt. Copies are the only tasks a
-  // stage submits outside its wave.
+  // A speculative copy models re-execution on a healthy node: no chaos
+  // fault or stall, single attempt. Copies are the only tasks a stage
+  // submits outside its wave.
   std::vector<std::future<void>> copies;
   auto speculative = [&](std::size_t idx) {
     TaskState& st = tasks[idx];

@@ -168,11 +168,12 @@ class Engine {
     // theta == 1 drops every task of a droppable stage — the fully
     // degraded extreme that failed-task degradation can also reach.
     double drop_ratio = 0.0;
-    // Fault injection + retry/speculation/degradation policy. Every stage
-    // runs as one thread-pool wave whose per-index body is the attempt
-    // loop; the default (no injection, 1 attempt, no speculation) makes
-    // that one attempt with no monitor, and a body's exception propagates
-    // unchanged instead of degrading the task.
+    // Retry/speculation/degradation policy. Every stage runs as one
+    // thread-pool wave whose per-index body is the attempt loop; the
+    // default (1 attempt, no speculation) makes that one attempt with no
+    // monitor, and a body's exception propagates unchanged instead of
+    // degrading the task. Task faults come from the chaos plane's
+    // `engine.task` point, which arms the attempt loop whatever the policy.
     FaultToleranceOptions fault;
     // Spill circuit breaker thresholds. The breaker governs every spill
     // write of this engine (see SpillBreaker): after
@@ -186,7 +187,7 @@ class Engine {
   explicit Engine(Options options)
       : options_(options),
         pool_(options.workers, options.reserve_workers),
-        rng_(options.seed), injector_(options.fault.injection),
+        rng_(options.seed),
         spill_breaker_(options.spill_breaker) {
     DIAS_EXPECTS(options.drop_ratio >= 0.0 && options.drop_ratio <= 1.0,
                  "drop ratio must be in [0,1]");
@@ -206,23 +207,21 @@ class Engine {
     DIAS_EXPECTS(theta >= 0.0 && theta <= 1.0, "drop ratio must be in [0,1]");
     options_.drop_ratio = theta;
   }
-  // Replaces the fault-tolerance policy (rebuilds the injector). Takes
-  // effect from the next stage; the stage sequence counter keeps running so
-  // injection stays deterministic for a fixed call sequence.
+  // Replaces the fault-tolerance policy. Takes effect from the next stage;
+  // the stage sequence counter keeps running, so chaos `engine.task`
+  // decisions stay deterministic for a fixed call sequence.
   void set_fault_options(const FaultToleranceOptions& fault) {
     fault.validate();
     options_.fault = fault;
-    injector_ = FaultInjector(fault.injection);
   }
-  const FaultInjector& fault_injector() const { return injector_; }
 
   // --- cooperative cancellation -------------------------------------------
   // Installs the token subsequent stages poll: checked once on stage entry
   // and then between partitions (every lane re-checks before stealing its
   // next index; the attempt loop also checks between attempts and inside
-  // backoff/straggler sleeps). Once the token fires, the in-flight
-  // task bodies finish, the rest of the stage is abandoned, the stage is
-  // logged with `cancelled` accounting, and run_stage raises
+  // retry backoff and injected chaos stalls). Once the token fires, the
+  // in-flight task bodies finish, the rest of the stage is abandoned, the
+  // stage is logged with `cancelled` accounting, and run_stage raises
   // JobCancelledError — releasing the pool for the next job. Detached (the
   // default) no stage ever polls a token.
   // Not thread-safe against a concurrently running stage: the dispatcher
@@ -511,7 +510,7 @@ class Engine {
  private:
   // Runs one stage over `n` partitions, applying dropping when allowed.
   // The kept partitions run as exactly one pool wave whose per-index body
-  // is the attempt loop (retry, backoff, injection); speculation and the
+  // is the attempt loop (chaos faults, retry, backoff); speculation and the
   // stall watchdog run as the wave's monitor on the calling thread.
   //
   // Stage bodies must be idempotent per partition: under retry or
@@ -850,10 +849,9 @@ class Engine {
   Options options_;
   ThreadPool pool_;
   Rng rng_;
-  FaultInjector injector_;
   SpillBackend* spill_ = nullptr;  // engine-wide spill destination, not owned
   std::optional<CancellationToken> cancel_;  // null = cancellation detached
-  std::uint64_t stage_seq_ = 0;  // stages run since construction; injector key
+  std::uint64_t stage_seq_ = 0;  // stages run since construction; fault key
   std::vector<StageInfo> stage_log_;
   // Per-slot segment arenas (see slot_arena); indexed by stable slot id.
   std::vector<std::unique_ptr<detail::SegmentArena>> arenas_;

@@ -1,42 +1,24 @@
 #include "engine/fault.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "chaos/chaos.hpp"
 
 namespace dias::engine {
 
-void interruptible_sleep_ms(double ms, const std::atomic<bool>& done,
-                            const CancellationToken* cancel) {
-  using clock = std::chrono::steady_clock;
-  const auto deadline =
-      clock::now() + std::chrono::duration_cast<clock::duration>(
-                         std::chrono::duration<double, std::milli>(ms));
-  while (!done.load(std::memory_order_acquire) &&
-         !(cancel != nullptr && cancel->cancelled()) && clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
 namespace {
 
-// The decision core lives in the chaos plane now (ISSUE 10 subsumed the
-// injector's plumbing): splitmix64 over the coordinate tuple, top 53 bits
-// to [0, 1). Salts keep the injector's historical draws — and therefore
-// every seeded experiment — bit-identical to PR 1.
+// The chaos plane's decision core: splitmix64 over the coordinate tuple,
+// top 53 bits to [0, 1).
 using chaos::detail::uniform_draw;
 
-constexpr std::uint64_t kFailSalt = 0xFA11;
-constexpr std::uint64_t kStragglerSalt = 0x51F0;
 constexpr std::uint64_t kBackoffSalt = 0xB0FF;
 
 }  // namespace
 
-double backoff_delay_ms(const FaultToleranceOptions& ft, std::uint64_t stage_seq,
-                        std::size_t partition, int attempt) {
+double backoff_delay_ms(const FaultToleranceOptions& ft, std::uint64_t seed,
+                        std::uint64_t stage_seq, std::size_t partition, int attempt) {
   const double base = ft.retry_backoff_ms;
   if (base <= 0.0 || attempt < 1) return 0.0;
   // Decorrelated jitter, recomputed iteratively from attempt 1 so the
@@ -45,7 +27,7 @@ double backoff_delay_ms(const FaultToleranceOptions& ft, std::uint64_t stage_seq
   const double cap = std::max(ft.retry_backoff_cap_ms, base);
   double delay = std::min(base, cap);
   for (int k = 2; k <= attempt; ++k) {
-    const double u = uniform_draw(ft.injection.seed, stage_seq, partition,
+    const double u = uniform_draw(seed, stage_seq, partition,
                                   static_cast<std::uint64_t>(k), kBackoffSalt);
     delay = std::min(cap, base + u * (3.0 * delay - base));
   }
@@ -60,28 +42,6 @@ void FaultToleranceOptions::validate() const {
   DIAS_EXPECTS(retry_backoff_cap_ms >= 0.0 && stall_threshold_ms >= 0.0 &&
                    stall_p95_multiplier >= 0.0,
                "backoff cap and stall thresholds must be >= 0");
-}
-
-FaultInjector::FaultInjector(FaultConfig config) : config_(config) {
-  DIAS_EXPECTS(config_.fail_prob >= 0.0 && config_.fail_prob <= 1.0,
-               "fault fail_prob must be in [0,1]");
-  DIAS_EXPECTS(config_.straggler_prob >= 0.0 && config_.straggler_prob <= 1.0,
-               "fault straggler_prob must be in [0,1]");
-  DIAS_EXPECTS(config_.straggler_delay_ms >= 0.0, "straggler delay must be >= 0");
-}
-
-bool FaultInjector::should_fail(std::uint64_t stage_seq, std::size_t partition,
-                                int attempt) const {
-  if (config_.fail_prob <= 0.0) return false;
-  return uniform_draw(config_.seed, stage_seq, partition,
-                      static_cast<std::uint64_t>(attempt), kFailSalt) < config_.fail_prob;
-}
-
-double FaultInjector::straggler_delay_ms(std::uint64_t stage_seq,
-                                         std::size_t partition) const {
-  if (config_.straggler_prob <= 0.0 || config_.straggler_delay_ms <= 0.0) return 0.0;
-  const double u = uniform_draw(config_.seed, stage_seq, partition, 0, kStragglerSalt);
-  return u < config_.straggler_prob ? config_.straggler_delay_ms : 0.0;
 }
 
 TaskFailedError::TaskFailedError(std::string stage, std::size_t partition, int attempts,

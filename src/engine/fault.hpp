@@ -1,4 +1,4 @@
-// Fault injection and fault-tolerance policy for the mini MapReduce engine.
+// Fault-tolerance policy for the mini MapReduce engine.
 //
 // Production data-parallel engines treat task failure and slowdown as the
 // common case; the paper's GRASS-style argument (Section 3.3, citation
@@ -6,11 +6,6 @@
 // cheaper to drop than to re-execute: the loss is bounded accuracy instead
 // of unbounded latency. This header provides
 //
-//   * FaultInjector  - deterministic, seedable injection of per-attempt
-//     task failures and per-task straggler slowdowns. Decisions are pure
-//     hash functions of (seed, stage sequence number, partition, attempt),
-//     so they are reproducible independent of thread scheduling and never
-//     consume state from the engine's sequential Rng stream.
 //   * FaultToleranceOptions - the engine-side policy: bounded per-task
 //     retries with capped decorrelated-jitter backoff, Spark-style
 //     speculative re-execution of stage-tail stragglers, and
@@ -20,82 +15,34 @@
 //   * TaskFailedError - typed error carrying stage name, partition id and
 //     attempt count, thrown when a task dies for good on a stage that is
 //     NOT allowed to degrade.
+//
+// Faults themselves come from one place: the chaos plane's `engine.task`
+// point (chaos/chaos.hpp), which throws or stalls a task attempt as a pure
+// hash of (chaos seed, stage sequence number, partition, attempt).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
-#include "common/cancellation.hpp"
 #include "common/error.hpp"
 
 namespace dias::engine {
 
-// Sleeps roughly `ms`, returning early once `done` becomes true or the
-// optional cancellation token fires. Used for injected straggler delays
-// and retry backoff, so neither a speculative win nor a deadline cancel is
-// held back by a sleeping loser — the retry/speculation paths are
-// cancellation points, not blind waits.
-void interruptible_sleep_ms(double ms, const std::atomic<bool>& done,
-                            const CancellationToken* cancel = nullptr);
-
-// What the injector should break. All probabilities are per decision:
-// `fail_prob` is evaluated once per task *attempt* (so retries of a task
-// re-roll), `straggler_prob` once per task (a straggler stays a straggler
-// across its retries, like a task stuck on a sick node).
-struct FaultConfig {
-  double fail_prob = 0.0;          // P[injected failure] per attempt
-  double straggler_prob = 0.0;     // P[task is a straggler]
-  double straggler_delay_ms = 0.0; // extra latency injected per straggling attempt
-  std::uint64_t seed = 0;          // independent of the engine seed
-  // Restrict injection to droppable stages. Models experiments on the
-  // degradation path specifically: critical (non-droppable) stages stay
-  // healthy while approximate work absorbs the failures.
-  bool droppable_only = false;
-};
-
-// Deterministic fault source. Thread-safe: all queries are const and pure.
-class FaultInjector {
- public:
-  FaultInjector() = default;
-  explicit FaultInjector(FaultConfig config);
-
-  // True when the injector can actually perturb execution.
-  bool enabled() const {
-    return config_.fail_prob > 0.0 ||
-           (config_.straggler_prob > 0.0 && config_.straggler_delay_ms > 0.0);
-  }
-
-  const FaultConfig& config() const { return config_; }
-
-  // Should attempt `attempt` (1-based) of `partition` in the stage with
-  // sequence number `stage_seq` fail before doing any work?
-  bool should_fail(std::uint64_t stage_seq, std::size_t partition, int attempt) const;
-
-  // Extra delay injected into every primary attempt of this task; 0 for
-  // non-stragglers. Speculative copies model re-execution on a healthy
-  // node and are never delayed.
-  double straggler_delay_ms(std::uint64_t stage_seq, std::size_t partition) const;
-
- private:
-  FaultConfig config_;
-};
-
 // Engine-wide fault-tolerance policy. The default configuration (one
-// attempt, no injection, no speculation) is inert: each task runs once,
+// attempt, no speculation, no watchdog) is inert: each task runs once,
 // no monitor watches the stage, and a body's exception propagates
 // unchanged instead of being absorbed as a failed attempt.
 struct FaultToleranceOptions {
-  FaultConfig injection;
   // Attempts per task before it is declared dead (>= 1; 1 = no retry).
   int max_attempts = 1;
   // Retry backoff, capped decorrelated jitter (the AWS "decorrelated"
   // variant, made stateless): d_1 = base, d_k = min(cap, base + u_k *
   // (3 d_{k-1} - base)) with u_k an independent uniform drawn from the
-  // injection seed and the (stage, partition, attempt) coordinates —
-  // deterministic under a fixed seed, de-synchronized across tasks so
-  // retry storms never stampede the same instant. A 0 base = no backoff.
+  // engine seed (Engine::Options::seed) and the (stage, partition,
+  // attempt) coordinates — deterministic under a fixed seed,
+  // de-synchronized across tasks so retry storms never stampede the same
+  // instant. A 0 base = no backoff.
   double retry_backoff_ms = 0.0;
   double retry_backoff_cap_ms = 250.0;
   // Spark-style speculation: once `speculation_quantile` of a stage's
@@ -121,8 +68,7 @@ struct FaultToleranceOptions {
   // True when the policy can perturb or absorb a task at all; false means
   // the inert one-attempt, exceptions-propagate behaviour.
   bool active() const {
-    return max_attempts > 1 || speculation || stall_watchdog ||
-           FaultInjector(injection).enabled();
+    return max_attempts > 1 || speculation || stall_watchdog;
   }
 
   // Throws precondition_error naming the first out-of-range field.
@@ -130,10 +76,10 @@ struct FaultToleranceOptions {
 };
 
 // Delay to sleep after failed attempt `attempt` (1-based), on the capped
-// decorrelated-jitter curve. Pure: deterministic for fixed (options,
-// coordinates).
-double backoff_delay_ms(const FaultToleranceOptions& ft, std::uint64_t stage_seq,
-                        std::size_t partition, int attempt);
+// decorrelated-jitter curve, jittered from `seed`. Pure: deterministic for
+// fixed (options, seed, coordinates).
+double backoff_delay_ms(const FaultToleranceOptions& ft, std::uint64_t seed,
+                        std::uint64_t stage_seq, std::size_t partition, int attempt);
 
 // A task exhausted its retry budget on a stage that may not degrade.
 // `detail`, when non-empty, carries the underlying cause (e.g. a spill

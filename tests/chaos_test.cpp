@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/cancellation.hpp"
@@ -52,6 +54,19 @@ TEST(ChaosScheduleTest, RejectsMalformedBindings) {
   EXPECT_THROW(ChaosSchedule::parse_points("x=throw:1.5"), config_error);
   EXPECT_THROW(ChaosSchedule::parse_points("x=throw:zebra"), config_error);
   EXPECT_THROW(ChaosSchedule::parse_points("x=stall:0.1:-4"), config_error);
+}
+
+TEST(ChaosScheduleTest, InstallRejectsOutOfRangeSpecs) {
+  // The grammar's range checks guard programmatic schedules too, and a
+  // rejected schedule leaves the plane as it was.
+  ChaosPlane& plane = ChaosPlane::instance();
+  ScopedChaos scoped(ChaosSchedule::uniform(3, spec_of(Shape::kThrow, 1.0), "test.range"));
+  InjectionPoint& pt = plane.point("test.range");
+  for (const PointSpec& bad : {spec_of(Shape::kThrow, 1.5), spec_of(Shape::kThrow, -0.1),
+                               spec_of(Shape::kStall, 0.5, -4.0)}) {
+    EXPECT_THROW(plane.install(ChaosSchedule::uniform(3, bad, "test.range")), config_error);
+    EXPECT_TRUE(pt.decide(0).fire);
+  }
 }
 
 TEST(ChaosScheduleTest, FromEnvReadsSeedAndPoints) {
@@ -125,23 +140,36 @@ TEST(ChaosPlaneTest, ScopedChaosDisarmsOnExit) {
 
 TEST(ChaosDecisionTest, PureFunctionOfSeedAndCoordinates) {
   InjectionPoint& task = ChaosPlane::instance().point(points::kEngineTask);
+  // Coordinate c is the engine's attempt number: index i covers a = i / 3
+  // with c = 1..3, so each task's attempts draw independently.
+  constexpr std::uint64_t kDraws = 192;
+  const auto decide_at = [&](std::uint64_t i) {
+    const std::uint64_t a = i / 3;
+    return task.decide(a, a / 2, 1 + i % 3).fire;
+  };
   std::vector<bool> first;
   {
     ScopedChaos scoped(ChaosSchedule::uniform(77, spec_of(Shape::kThrow, 0.3)));
-    for (std::uint64_t a = 0; a < 64; ++a) first.push_back(task.decide(a, a / 2).fire);
+    for (std::uint64_t i = 0; i < kDraws; ++i) first.push_back(decide_at(i));
   }
   {
     ScopedChaos scoped(ChaosSchedule::uniform(77, spec_of(Shape::kThrow, 0.3)));
-    for (std::uint64_t a = 0; a < 64; ++a) {
-      EXPECT_EQ(task.decide(a, a / 2).fire, first[a]) << "coordinate " << a;
+    for (std::uint64_t i = 0; i < kDraws; ++i) {
+      EXPECT_EQ(decide_at(i), first[i]) << "draw " << i;
     }
   }
+  // Attempts re-roll: some task fails attempt 1 and passes attempt 2.
+  bool saw_recovery = false;
+  for (std::uint64_t i = 0; i + 1 < kDraws; i += 3) {
+    saw_recovery = saw_recovery || (first[i] && !first[i + 1]);
+  }
+  EXPECT_TRUE(saw_recovery);
   // A different seed reshuffles which coordinates fire.
   {
     ScopedChaos scoped(ChaosSchedule::uniform(78, spec_of(Shape::kThrow, 0.3)));
     bool any_difference = false;
-    for (std::uint64_t a = 0; a < 64; ++a) {
-      any_difference = any_difference || task.decide(a, a / 2).fire != first[a];
+    for (std::uint64_t i = 0; i < kDraws; ++i) {
+      any_difference = any_difference || decide_at(i) != first[i];
     }
     EXPECT_TRUE(any_difference);
   }
@@ -149,14 +177,22 @@ TEST(ChaosDecisionTest, PureFunctionOfSeedAndCoordinates) {
 
 TEST(ChaosDecisionTest, EmpiricalRateTracksConfiguredRate) {
   InjectionPoint& task = ChaosPlane::instance().point(points::kEngineTask);
-  ScopedChaos scoped(ChaosSchedule::uniform(13, spec_of(Shape::kThrow, 0.2)));
-  int fired = 0;
   constexpr int kTrials = 20000;
-  for (int a = 0; a < kTrials; ++a) {
-    if (task.decide(static_cast<std::uint64_t>(a)).fire) ++fired;
+  // Rate 0 never fires and rate 1 always fires; 0.2 fires about 20%.
+  for (const double configured : {0.0, 0.2, 1.0}) {
+    SCOPED_TRACE(testing::Message() << "rate " << configured);
+    ScopedChaos scoped(ChaosSchedule::uniform(13, spec_of(Shape::kThrow, configured)));
+    int fired = 0;
+    for (int a = 0; a < kTrials; ++a) {
+      if (task.decide(static_cast<std::uint64_t>(a)).fire) ++fired;
+    }
+    const double rate = static_cast<double>(fired) / kTrials;
+    if (configured == 0.2) {
+      EXPECT_NEAR(rate, 0.2, 0.02);
+    } else {
+      EXPECT_EQ(rate, configured);
+    }
   }
-  const double rate = static_cast<double>(fired) / kTrials;
-  EXPECT_NEAR(rate, 0.2, 0.02);
 }
 
 TEST(ChaosDecisionTest, OpCountersResetPerInstall) {
@@ -219,6 +255,25 @@ TEST(ChaosInjectTest, CancellationCutsAStallShort) {
                       std::chrono::steady_clock::now() - t0)
                       .count();
   EXPECT_LT(ms, 500);  // nowhere near the 1.8 s schedule
+}
+
+TEST(ChaosInjectTest, StallEndsWhenDoneFlips) {
+  // The engine passes its task's done flag: a speculative copy completing
+  // the partition ends the primary's stall.
+  InjectionPoint& task = ChaosPlane::instance().point(points::kEngineTask);
+  ScopedChaos scoped(ChaosSchedule::uniform(26, spec_of(Shape::kStall, 1.0, 1000.0)));
+  std::atomic<bool> done{false};
+  std::thread winner([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    done.store(true, std::memory_order_release);
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(task.inject(0, 0, 0, nullptr, &done));
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  winner.join();
+  EXPECT_LT(ms, 500);  // nowhere near the 1 s schedule
 }
 
 // --- census ---------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "chaos/chaos.hpp"
 #include "common/error.hpp"
 
 namespace dias::engine {
@@ -450,9 +451,9 @@ TEST(EngineCancelTest, FaultPathHonoursCancellationInBackoff) {
   // Every attempt fails and backoff is long: without cancellation this
   // stage would spend ~seconds retrying. The token must cut the sleeps
   // short and classify the unfinished partitions as cancelled.
+  chaos::ScopedChaos faults(chaos::ChaosSchedule::uniform(
+      7, {1.0, chaos::Shape::kThrow}, chaos::points::kEngineTask));
   Engine::Options o = opts();
-  o.fault.injection.fail_prob = 1.0;
-  o.fault.injection.seed = 7;
   o.fault.max_attempts = 50;
   o.fault.retry_backoff_ms = 50.0;
   Engine eng(o);
@@ -481,9 +482,10 @@ TEST(EngineCancelTest, CancellationOutranksTaskFailure) {
   // A non-droppable stage with both dead tasks and a fired token reports
   // the cancellation, not TaskFailedError: the job is being torn down, so
   // task failure is no longer actionable.
+  // Some tasks die for good: one attempt each at a 0.5 throw rate.
+  chaos::ScopedChaos faults(chaos::ChaosSchedule::uniform(
+      3, {0.5, chaos::Shape::kThrow}, chaos::points::kEngineTask));
   Engine::Options o = opts();
-  o.fault.injection.fail_prob = 0.5;  // some tasks die for good (1 attempt)
-  o.fault.injection.seed = 3;
   o.fault.max_attempts = 1;
   Engine eng(o);
   const auto ds = eng.parallelize(iota_vec(64), 32);

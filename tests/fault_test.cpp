@@ -1,6 +1,7 @@
-// Fault-tolerant execution: injection determinism, retry, speculation,
-// approximation-aware degradation, and the engine-level reproducibility
-// guarantees they must preserve.
+// Fault-tolerant execution: retry, speculation, approximation-aware
+// degradation, and the engine-level reproducibility guarantees they must
+// preserve. Faults are armed on the chaos plane's engine.task point, the
+// engine's one source of task faults.
 #include "engine/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include "analytics/triangle_count.hpp"
 #include "analytics/word_count.hpp"
+#include "chaos/chaos.hpp"
 #include "common/error.hpp"
 #include "engine/engine.hpp"
 #include "obs/metrics.hpp"
@@ -32,6 +34,22 @@ Engine::Options eng_opts(double drop = 0.0, std::uint64_t seed = 42) {
   o.seed = seed;
   o.drop_ratio = drop;
   return o;
+}
+
+// A schedule arming only engine.task with `shape` at `rate`.
+chaos::ChaosSchedule task_faults(std::uint64_t seed, chaos::Shape shape, double rate,
+                                 double stall_ms = 5.0) {
+  return chaos::ChaosSchedule::uniform(seed, {rate, shape, stall_ms},
+                                       chaos::points::kEngineTask);
+}
+
+// Whether the installed schedule fires on attempt `attempt` of `partition`
+// in the stage with sequence number `stage_seq`: the engine's own key.
+bool task_fires(std::uint64_t stage_seq, std::size_t partition, int attempt) {
+  return chaos::ChaosPlane::instance()
+      .point(chaos::points::kEngineTask)
+      .decide(stage_seq, partition, static_cast<std::uint64_t>(attempt))
+      .fire;
 }
 
 std::vector<int> iota_vec(int n) {
@@ -58,88 +76,6 @@ void expect_same_log(const std::vector<StageInfo>& a, const std::vector<StageInf
   }
 }
 
-// --- FaultInjector ---------------------------------------------------------
-
-TEST(FaultInjectorTest, DisabledByDefault) {
-  FaultInjector inj;
-  EXPECT_FALSE(inj.enabled());
-  EXPECT_FALSE(inj.should_fail(0, 0, 1));
-  EXPECT_DOUBLE_EQ(inj.straggler_delay_ms(0, 0), 0.0);
-}
-
-TEST(FaultInjectorTest, DeterministicPureFunctionOfCoordinates) {
-  FaultConfig cfg;
-  cfg.fail_prob = 0.5;
-  cfg.straggler_prob = 0.3;
-  cfg.straggler_delay_ms = 10.0;
-  cfg.seed = 99;
-  const FaultInjector a(cfg);
-  const FaultInjector b(cfg);
-  for (std::uint64_t stage = 0; stage < 4; ++stage) {
-    for (std::size_t part = 0; part < 50; ++part) {
-      EXPECT_EQ(a.straggler_delay_ms(stage, part), b.straggler_delay_ms(stage, part));
-      for (int attempt = 1; attempt <= 3; ++attempt) {
-        EXPECT_EQ(a.should_fail(stage, part, attempt), b.should_fail(stage, part, attempt));
-      }
-    }
-  }
-}
-
-TEST(FaultInjectorTest, ExtremeProbabilities) {
-  FaultConfig always;
-  always.fail_prob = 1.0;
-  const FaultInjector inj_always(always);
-  FaultConfig never;
-  never.fail_prob = 0.0;
-  const FaultInjector inj_never(never);
-  for (std::size_t p = 0; p < 100; ++p) {
-    EXPECT_TRUE(inj_always.should_fail(0, p, 1));
-    EXPECT_FALSE(inj_never.should_fail(0, p, 1));
-  }
-}
-
-TEST(FaultInjectorTest, EmpiricalRatesMatchConfig) {
-  FaultConfig cfg;
-  cfg.fail_prob = 0.2;
-  cfg.straggler_prob = 0.4;
-  cfg.straggler_delay_ms = 5.0;
-  cfg.seed = 3;
-  const FaultInjector inj(cfg);
-  int failures = 0, stragglers = 0;
-  const int n = 20000;
-  for (int p = 0; p < n; ++p) {
-    failures += inj.should_fail(1, static_cast<std::size_t>(p), 1) ? 1 : 0;
-    stragglers += inj.straggler_delay_ms(1, static_cast<std::size_t>(p)) > 0.0 ? 1 : 0;
-  }
-  EXPECT_NEAR(static_cast<double>(failures) / n, 0.2, 0.02);
-  EXPECT_NEAR(static_cast<double>(stragglers) / n, 0.4, 0.02);
-}
-
-TEST(FaultInjectorTest, AttemptsRerollIndependently) {
-  FaultConfig cfg;
-  cfg.fail_prob = 0.5;
-  cfg.seed = 11;
-  const FaultInjector inj(cfg);
-  // Some partition must fail on attempt 1 and pass on attempt 2.
-  bool saw_recovery = false;
-  for (std::size_t p = 0; p < 200 && !saw_recovery; ++p) {
-    saw_recovery = inj.should_fail(0, p, 1) && !inj.should_fail(0, p, 2);
-  }
-  EXPECT_TRUE(saw_recovery);
-}
-
-TEST(FaultInjectorTest, ValidatesConfig) {
-  FaultConfig bad;
-  bad.fail_prob = 1.5;
-  EXPECT_THROW(FaultInjector{bad}, dias::precondition_error);
-  bad.fail_prob = 0.5;
-  bad.straggler_prob = -0.1;
-  EXPECT_THROW(FaultInjector{bad}, dias::precondition_error);
-  bad.straggler_prob = 0.1;
-  bad.straggler_delay_ms = -1.0;
-  EXPECT_THROW(FaultInjector{bad}, dias::precondition_error);
-}
-
 TEST(FaultOptionsTest, ActiveDetection) {
   FaultToleranceOptions ft;
   EXPECT_FALSE(ft.active());
@@ -149,8 +85,7 @@ TEST(FaultOptionsTest, ActiveDetection) {
   ft.speculation = true;
   EXPECT_TRUE(ft.active());
   ft.speculation = false;
-  ft.injection.fail_prob = 0.1;
-  EXPECT_TRUE(ft.active());
+  EXPECT_FALSE(ft.active());
 }
 
 TEST(FaultOptionsTest, StallWatchdogActivatesFaultPath) {
@@ -165,32 +100,30 @@ TEST(BackoffTest, DecorrelatedJitterDeterministicCappedAndDesynchronized) {
   FaultToleranceOptions ft;
   ft.retry_backoff_ms = 10.0;
   ft.retry_backoff_cap_ms = 80.0;
-  ft.injection.seed = 42;
+  constexpr std::uint64_t kSeed = 42;
 
   // Deterministic: the whole curve is a pure function of the coordinates.
   for (int attempt = 1; attempt <= 8; ++attempt) {
-    const double d = backoff_delay_ms(ft, 1, 2, attempt);
-    EXPECT_DOUBLE_EQ(d, backoff_delay_ms(ft, 1, 2, attempt));
+    const double d = backoff_delay_ms(ft, kSeed, 1, 2, attempt);
+    EXPECT_DOUBLE_EQ(d, backoff_delay_ms(ft, kSeed, 1, 2, attempt));
     EXPECT_GE(d, 10.0);  // never below base
     EXPECT_LE(d, 80.0);  // never above cap
   }
-  EXPECT_DOUBLE_EQ(backoff_delay_ms(ft, 1, 2, 1), 10.0);  // first retry = base
+  EXPECT_DOUBLE_EQ(backoff_delay_ms(ft, kSeed, 1, 2, 1), 10.0);  // first retry = base
 
   // Desynchronized: distinct tasks draw distinct delays at the same
   // attempt, so a retry storm never stampedes one instant.
   std::set<double> delays;
   for (std::size_t part = 0; part < 16; ++part) {
-    delays.insert(backoff_delay_ms(ft, 1, part, 4));
+    delays.insert(backoff_delay_ms(ft, kSeed, 1, part, 4));
   }
   EXPECT_GT(delays.size(), 8u);
 
   // A different seed reshuffles the jitter.
-  FaultToleranceOptions other = ft;
-  other.injection.seed = 43;
   bool any_difference = false;
   for (int attempt = 2; attempt <= 8; ++attempt) {
-    any_difference = any_difference || backoff_delay_ms(other, 1, 2, attempt) !=
-                                           backoff_delay_ms(ft, 1, 2, attempt);
+    any_difference = any_difference || backoff_delay_ms(ft, kSeed + 1, 1, 2, attempt) !=
+                                           backoff_delay_ms(ft, kSeed, 1, 2, attempt);
   }
   EXPECT_TRUE(any_difference);
 }
@@ -198,22 +131,21 @@ TEST(BackoffTest, DecorrelatedJitterDeterministicCappedAndDesynchronized) {
 TEST(BackoffTest, ZeroBaseMeansNoDelayUnderEitherPolicy) {
   FaultToleranceOptions ft;
   ft.retry_backoff_ms = 0.0;
-  EXPECT_DOUBLE_EQ(backoff_delay_ms(ft, 0, 0, 3), 0.0);
+  EXPECT_DOUBLE_EQ(backoff_delay_ms(ft, 1, 0, 0, 3), 0.0);
   ft.retry_backoff_ms = 5.0;
-  EXPECT_DOUBLE_EQ(backoff_delay_ms(ft, 0, 0, 0), 0.0);  // no attempt yet
+  EXPECT_DOUBLE_EQ(backoff_delay_ms(ft, 1, 0, 0, 0), 0.0);  // no attempt yet
 }
 
 // --- stall watchdog --------------------------------------------------------
 
 TEST(FaultStallWatchdogTest, StalledTaskIsSpeculatedBeforeQuantile) {
-  // Every primary straggles for far longer than the stall threshold;
+  // Every primary stalls for far longer than the stall threshold;
   // quantile speculation is OFF, so only the watchdog can launch copies.
-  // Speculative copies skip the injected delay, win exactly once per
-  // partition, and the stage's content stays exact.
+  // Speculative copies skip the injected stall, win exactly once per
+  // partition, end the primaries' stalls, and the content stays exact.
+  chaos::ScopedChaos stalls(task_faults(1, chaos::Shape::kStall, 1.0, 400.0));
   Engine::Options o = eng_opts();
   o.workers = 4;
-  o.fault.injection.straggler_prob = 1.0;
-  o.fault.injection.straggler_delay_ms = 400.0;
   o.fault.speculation = false;
   o.fault.stall_watchdog = true;
   o.fault.stall_threshold_ms = 25.0;
@@ -240,6 +172,8 @@ TEST(FaultStallWatchdogTest, StalledTaskIsSpeculatedBeforeQuantile) {
   EXPECT_GE(info.speculative_launched, 1u);
   EXPECT_GE(info.speculative_wins, 1u);
   for (const auto& count : executions) EXPECT_EQ(count.load(), 1);
+  // A won partition's primary stops stalling: no lane sleeps out the 400 ms.
+  EXPECT_LT(info.duration_s, 0.400);
 }
 
 TEST(FaultOptionsTest, EngineValidatesPolicy) {
@@ -258,9 +192,8 @@ TEST(FaultOptionsTest, EngineValidatesPolicy) {
 // --- retry -----------------------------------------------------------------
 
 TEST(FaultRetryTest, RetriesUntilSuccessAndLogsAttempts) {
+  chaos::ScopedChaos faults(task_faults(5, chaos::Shape::kThrow, 0.3));
   Engine::Options o = eng_opts();
-  o.fault.injection.fail_prob = 0.3;
-  o.fault.injection.seed = 5;
   o.fault.max_attempts = 25;  // deep enough that every task recovers
   Engine eng(o);
   const auto ds = eng.parallelize(iota_vec(300), 30);
@@ -278,12 +211,12 @@ TEST(FaultRetryTest, RetriesUntilSuccessAndLogsAttempts) {
   EXPECT_GT(info.retries, 0u);
   EXPECT_EQ(info.attempts, 30u + info.retries);
 
-  // Cross-check the retry count against the injector's deterministic plan:
-  // task p needs as many attempts as leading should_fail() answers + 1.
+  // Cross-check the retry count against the schedule's deterministic plan:
+  // task p needs as many attempts as leading fired decisions + 1.
   std::size_t expected_retries = 0;
   for (std::size_t p = 0; p < 30; ++p) {
     int attempt = 1;
-    while (eng.fault_injector().should_fail(0, p, attempt)) ++attempt;
+    while (task_fires(0, p, attempt)) ++attempt;
     expected_retries += static_cast<std::size_t>(attempt - 1);
   }
   EXPECT_EQ(info.retries, expected_retries);
@@ -291,7 +224,7 @@ TEST(FaultRetryTest, RetriesUntilSuccessAndLogsAttempts) {
 
 TEST(FaultRetryTest, UserCodeExceptionsAreRetried) {
   Engine::Options o = eng_opts();
-  o.fault.max_attempts = 3;  // no injection; retries driven by the body itself
+  o.fault.max_attempts = 3;  // no chaos; retries driven by the body itself
   Engine eng(o);
   const auto ds = eng.parallelize(iota_vec(80), 8);
   std::array<std::atomic<int>, 8> calls{};
@@ -413,9 +346,8 @@ TEST(FaultSingleLoopTest, InertPolicyPropagatesBodyExceptionOnDroppableStage) {
 // --- approximation-aware degradation ---------------------------------------
 
 TEST(FaultDegradationTest, FailedTasksBecomeDropsOnDroppableStage) {
+  chaos::ScopedChaos faults(task_faults(17, chaos::Shape::kThrow, 0.5));
   Engine::Options o = eng_opts(0.2);
-  o.fault.injection.fail_prob = 0.5;
-  o.fault.injection.seed = 17;
   o.fault.max_attempts = 2;
   Engine eng(o);
   const auto ds = eng.parallelize(iota_vec(400), 40);
@@ -444,16 +376,21 @@ TEST(FaultDegradationTest, FailedTasksBecomeDropsOnDroppableStage) {
     EXPECT_EQ(out.partition(p).empty(), executed.count(p) == 0) << "partition " << p;
   }
 
-  // The dead set is exactly the injector's plan: both attempts fail.
-  for (std::size_t p : info.failed_partition_ids) {
-    EXPECT_TRUE(eng.fault_injector().should_fail(0, p, 1));
-    EXPECT_TRUE(eng.fault_injector().should_fail(0, p, 2));
+  // The dead set is exactly the schedule's plan: the selected partitions
+  // whose both attempts fire.
+  const std::set<std::size_t> dead(info.failed_partition_ids.begin(),
+                                   info.failed_partition_ids.end());
+  for (std::size_t p = 0; p < 40; ++p) {
+    if (executed.count(p) == 0 && dead.count(p) == 0) continue;  // dropped up front
+    EXPECT_EQ(dead.count(p) == 1, task_fires(0, p, 1) && task_fires(0, p, 2))
+        << "partition " << p;
   }
 }
 
 TEST(FaultDegradationTest, NonDroppableStageRaisesTypedError) {
+  // Every attempt dies.
+  chaos::ScopedChaos faults(task_faults(1, chaos::Shape::kThrow, 1.0));
   Engine::Options o = eng_opts();
-  o.fault.injection.fail_prob = 1.0;  // every attempt dies
   o.fault.max_attempts = 3;
   Engine eng(o);
   const auto ds = eng.parallelize(iota_vec(50), 5);
@@ -485,19 +422,17 @@ TEST(FaultDegradationTest, TaskFailedErrorIsADiasError) {
 // --- speculation ------------------------------------------------------------
 
 TEST(FaultSpeculationTest, SpeculativeCopyBeatsStragglerExactlyOnce) {
+  chaos::ScopedChaos stalls(task_faults(23, chaos::Shape::kStall, 0.25, 400.0));
   Engine::Options o = eng_opts();
-  o.fault.injection.straggler_prob = 0.25;
-  o.fault.injection.straggler_delay_ms = 400.0;
-  o.fault.injection.seed = 23;
   o.fault.speculation = true;
   o.fault.speculation_quantile = 0.5;
   Engine eng(o);
 
-  // The injector plan is deterministic: require a non-trivial straggler
-  // set so speculation actually has work (seed chosen accordingly).
+  // The stall plan is deterministic: require a non-trivial straggler set
+  // so speculation actually has work (seed chosen accordingly).
   std::size_t planned_stragglers = 0;
   for (std::size_t p = 0; p < 12; ++p) {
-    if (eng.fault_injector().straggler_delay_ms(0, p) > 0.0) ++planned_stragglers;
+    if (task_fires(0, p, 1)) ++planned_stragglers;
   }
   ASSERT_GE(planned_stragglers, 1u);
   ASSERT_LE(planned_stragglers, 5u);  // quantile of fast tasks is reachable
@@ -523,7 +458,8 @@ TEST(FaultSpeculationTest, SpeculativeCopyBeatsStragglerExactlyOnce) {
   // Exactly one copy completed each partition: the loser was discarded
   // before running the body, not after.
   for (const auto& c : completions) EXPECT_EQ(c.load(), 1);
-  // The stage should not have waited out the full straggler delay.
+  // The stage should not have waited out the full stall: a speculative win
+  // ends the primary's injected sleep.
   EXPECT_LT(info.duration_s, 0.400);
 }
 
@@ -582,19 +518,29 @@ TEST(FaultDeterminismTest, TriangleCountIdenticalAcrossEngineInstances) {
 
 TEST(FaultDeterminismTest, SeededFaultyWordCountReproducesIdenticalLog) {
   // The paper-level acceptance scenario: a droppable word-count map with
-  // theta = 0.2 and injected failure probability 0.2 completes, reports an
-  // effective drop ratio >= theta, and is bit-reproducible from the seed.
+  // theta = 0.2 and an injected per-attempt failure probability of 0.2
+  // completes, reports an effective drop ratio >= theta, and is
+  // bit-reproducible from the seed. Faults reach every stage; two attempts
+  // let the non-droppable shuffle and reduce stages recover.
   workload::TextCorpusParams params;
   params.posts = 600;
   params.vocabulary = 400;
   params.seed = 37;
   const auto corpus = workload::generate_text_corpus("faulty", params);
 
+  chaos::ScopedChaos faults(task_faults(74, chaos::Shape::kThrow, 0.2));
+  // The seed's precondition: no shuffle task (stage 1, 30 tasks) and no
+  // reduce task (stage 2, 8 reducers) fails both attempts, so only the
+  // droppable map degrades.
+  for (std::size_t p = 0; p < 30; ++p) {
+    ASSERT_FALSE(task_fires(1, p, 1) && task_fires(1, p, 2)) << "shuffle task " << p;
+  }
+  for (std::size_t p = 0; p < 8; ++p) {
+    ASSERT_FALSE(task_fires(2, p, 1) && task_fires(2, p, 2)) << "reduce task " << p;
+  }
+
   Engine::Options o = eng_opts(0.0, 123);
-  o.fault.injection.fail_prob = 0.2;
-  o.fault.injection.seed = 41;
-  o.fault.injection.droppable_only = true;  // shuffle/reduce stay healthy
-  o.fault.max_attempts = 1;  // every injected failure degrades to a drop
+  o.fault.max_attempts = 2;  // a map task failing both attempts degrades to a drop
   auto run = [&](Engine& eng) {
     const auto ds = eng.parallelize(corpus.rows, 30);
     return analytics::word_count(eng, ds, 8, 0.2);

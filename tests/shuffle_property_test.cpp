@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "chaos/chaos.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -156,9 +157,9 @@ TEST(ShufflePropertyTest, EquivalentUnderFaultInjection) {
   const auto expected = reference_sums(records);
   for (const bool combine : {true, false}) {
     SCOPED_TRACE(testing::Message() << "combine=" << combine);
+    chaos::ScopedChaos faults(chaos::ChaosSchedule::uniform(
+        99, {0.25, chaos::Shape::kThrow}, chaos::points::kEngineTask));
     Engine::Options o = engine_opts(11);
-    o.fault.injection.fail_prob = 0.25;
-    o.fault.injection.seed = 99;
     o.fault.max_attempts = 8;  // ample budget: exhaustion would be fatal here
     Engine eng(o);
     const auto ds = eng.parallelize(records, 7);
@@ -168,7 +169,7 @@ TEST(ShufflePropertyTest, EquivalentUnderFaultInjection) {
     const auto reduced = eng.reduce_by_key(
         ds, [](std::int64_t a, std::int64_t b) { return a + b; }, 6, {}, shuffle);
     EXPECT_EQ(sorted_collect(reduced), expected);
-    // The injector really fired: retries happened on the shuffle stages.
+    // The schedule really fired: retries happened on the shuffle stages.
     std::size_t retries = 0;
     for (const auto& s : eng.stage_log()) retries += s.retries;
     EXPECT_GT(retries, 0u);
