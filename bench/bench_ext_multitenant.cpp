@@ -1,27 +1,20 @@
-// Extension: sharded multi-tenant dispatcher with burst-credit fairness.
+// Extension: multi-tenant dispatcher with burst-credit fairness.
 //
-// Three phases:
-//   1. Submission-plane throughput: 32 threads hammer submit() against the
-//      single-lane dispatcher and against 8 striped lanes (runner plugged,
-//      so the measurement isolates the submission plane). The striped
-//      plane's win scales with physical parallelism: on a single-core host
-//      the ratio is muted because every submitter is time-sliced onto the
-//      same CPU either way.
-//   2. Fairness sweep: 10k tenants (9000 steady + 1000 aggressive + a few
+// Two phases:
+//   1. Fairness sweep: 10k tenants (9000 steady + 1000 aggressive + a few
 //      outright hogs) through the fair-share ledger. The ladder deflates,
 //      deprioritizes, and sheds the over-quota cohorts; Jain's index over
 //      each equal-demand cohort's achieved service must stay >= 0.9, and
-//      per-class p99 response is reported for 1 vs 8 lanes.
-//   3. Burst credits: a tenant whose burst stays within its credit balance
+//      per-class p99 response is reported.
+//   2. Burst credits: a tenant whose burst stays within its credit balance
 //      rides the normal queues (p99 close to the steady tenants); the same
 //      burst with zero credits walks the deprioritize ladder instead.
 //
 // Each configuration emits one machine-readable line:
-//   BENCH {"bench":"ext_multitenant","phase":"submit_throughput",...}
-// Exit status: non-zero when the phase-2 fairness index drops below 0.9
+//   BENCH {"bench":"ext_multitenant","phase":"fairness",...}
+// Exit status: non-zero when the phase-1 fairness index drops below 0.9
 // (the CI quick-mode gate).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -62,75 +55,7 @@ double percentile(std::vector<double> v, double p) {
   return v[idx];
 }
 
-// --- phase 1: submission-plane throughput -----------------------------------
-
-double measure_submit_throughput(std::size_t lanes, std::size_t threads,
-                                 std::size_t jobs_per_thread) {
-  core::DispatcherOptions opts;
-  opts.lanes = lanes;
-  core::DiasDispatcher dispatcher({0.0, 0.0}, opts);
-
-  // Plug the runner: the measurement covers enqueue only, not service.
-  std::atomic<bool> release{false};
-  std::atomic<bool> plugged{false};
-  dispatcher.submit(1, [&](double) {
-    plugged = true;
-    while (!release.load()) std::this_thread::sleep_for(std::chrono::microseconds(200));
-  });
-  while (!plugged.load()) std::this_thread::sleep_for(std::chrono::microseconds(100));
-
-  std::atomic<std::size_t> ready{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      ready.fetch_add(1);
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      const core::TenantId tenant{t + 1};  // tenant-affine lane spread
-      for (std::size_t i = 0; i < jobs_per_thread; ++i) {
-        dispatcher.submit(i % 2, tenant, [](double) {});
-      }
-    });
-  }
-  while (ready.load() < threads) std::this_thread::yield();
-  const auto t0 = Clock::now();
-  go.store(true, std::memory_order_release);
-  for (auto& w : workers) w.join();
-  const double elapsed = seconds_since(t0);
-  release = true;
-  dispatcher.drain();
-  return static_cast<double>(threads * jobs_per_thread) / elapsed;
-}
-
-double run_submit_throughput(bool quick) {
-  const std::size_t threads = quick ? 16 : 32;
-  const std::size_t per_thread = quick ? 1000 : 3000;
-  const double single = measure_submit_throughput(1, threads, per_thread);
-  const double striped = measure_submit_throughput(8, threads, per_thread);
-  const double ratio = striped / single;
-  std::printf("  submit throughput (%zu threads x %zu jobs): 1 lane %.0f/s, "
-              "8 lanes %.0f/s, ratio %.2fx\n",
-              threads, per_thread, single, striped, ratio);
-  std::printf("    (on single-core hosts the ratio is time-slice bound; the\n"
-              "     >=3x acceptance target applies to multi-core runs)\n");
-  obs::JsonWriter w;
-  w.begin_object();
-  w.field("bench", "ext_multitenant");
-  w.field("phase", "submit_throughput");
-  w.field("threads", std::uint64_t{threads});
-  w.field("jobs_per_thread", std::uint64_t{per_thread});
-  w.field("hardware_concurrency",
-          std::uint64_t{std::thread::hardware_concurrency()});
-  w.field("single_lane_jobs_per_s", single);
-  w.field("striped8_jobs_per_s", striped);
-  w.field("speedup", ratio);
-  w.end_object();
-  std::printf("BENCH %s\n", std::move(w).str().c_str());
-  return ratio;
-}
-
-// --- phase 2: 10k-tenant fairness sweep -------------------------------------
+// --- phase 1: 10k-tenant fairness sweep -------------------------------------
 
 struct FairnessResult {
   double jain_steady = 0.0;
@@ -142,9 +67,9 @@ struct FairnessResult {
   double duration_s = 0.0;
 };
 
-FairnessResult run_fairness_config(std::size_t lanes, std::size_t steady_n,
-                                   std::size_t aggressive_n, std::size_t hog_n,
-                                   double window_s, double aggressive_service) {
+FairnessResult run_fairness_config(std::size_t steady_n, std::size_t aggressive_n,
+                                   std::size_t hog_n, double window_s,
+                                   double aggressive_service) {
   // Cohort tenant ids: hogs, then aggressive, then steady.
   const std::size_t first_aggressive = hog_n + 1;
   const std::size_t first_steady = hog_n + aggressive_n + 1;
@@ -155,7 +80,6 @@ FairnessResult run_fairness_config(std::size_t lanes, std::size_t steady_n,
   constexpr std::size_t kHogChunks = 4;
 
   core::DispatcherOptions opts;
-  opts.lanes = lanes;
   opts.tenant.enabled = true;
   // A 1 s usage halflife matches the few-second window; near-zero credits
   // so the ladder reacts inside it. The ledger budget is a quarter of the
@@ -261,49 +185,44 @@ double run_fairness(bool quick) {
   // over its 1/N fair share.
   const double window_s = quick ? 1.0 : 3.0;
   const double aggressive_service = quick ? 2e-3 : 6e-4;
-  double gate = 1.0;
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
-    const auto r = run_fairness_config(lanes, steady_n, aggressive_n, hog_n,
-                                       window_s, aggressive_service);
-    const double fairness = std::min(r.jain_steady, r.jain_aggressive);
-    if (lanes == 8) gate = fairness;
-    std::printf("  fairness %zu lanes, %zu tenants (%zu aggressive, %zu hogs): "
-                "Jain steady %.4f, aggressive %.4f, ledger %.4f\n"
-                "    ladder: %llu deflated, %llu deprioritized, %llu shed, "
-                "%llu credit bursts; p99 low %.1f ms, high %.1f ms (%.2f s)\n",
-                lanes, steady_n + aggressive_n + hog_n, aggressive_n, hog_n,
-                r.jain_steady, r.jain_aggressive, r.ledger_fairness,
-                static_cast<unsigned long long>(r.deflated),
-                static_cast<unsigned long long>(r.deprioritized),
-                static_cast<unsigned long long>(r.shed),
-                static_cast<unsigned long long>(r.bursts), r.p99_low_s * 1e3,
-                r.p99_high_s * 1e3, r.duration_s);
-    obs::JsonWriter w;
-    w.begin_object();
-    w.field("bench", "ext_multitenant");
-    w.field("phase", "fairness");
-    w.field("lanes", std::uint64_t{lanes});
-    w.field("tenants", std::uint64_t{steady_n + aggressive_n + hog_n});
-    w.field("aggressive", std::uint64_t{aggressive_n});
-    w.field("hogs", std::uint64_t{hog_n});
-    w.field("jain_steady", r.jain_steady);
-    w.field("jain_aggressive", r.jain_aggressive);
-    w.field("fairness_index", fairness);
-    w.field("ledger_fairness_index", r.ledger_fairness);
-    w.field("deflated", r.deflated);
-    w.field("deprioritized", r.deprioritized);
-    w.field("shed", r.shed);
-    w.field("credit_bursts", r.bursts);
-    w.field("p99_low_s", r.p99_low_s);
-    w.field("p99_high_s", r.p99_high_s);
-    w.field("duration_s", r.duration_s);
-    w.end_object();
-    std::printf("BENCH %s\n", std::move(w).str().c_str());
-  }
-  return gate;
+  const auto r =
+      run_fairness_config(steady_n, aggressive_n, hog_n, window_s, aggressive_service);
+  const double fairness = std::min(r.jain_steady, r.jain_aggressive);
+  std::printf("  fairness, %zu tenants (%zu aggressive, %zu hogs): "
+              "Jain steady %.4f, aggressive %.4f, ledger %.4f\n"
+              "    ladder: %llu deflated, %llu deprioritized, %llu shed, "
+              "%llu credit bursts; p99 low %.1f ms, high %.1f ms (%.2f s)\n",
+              steady_n + aggressive_n + hog_n, aggressive_n, hog_n, r.jain_steady,
+              r.jain_aggressive, r.ledger_fairness,
+              static_cast<unsigned long long>(r.deflated),
+              static_cast<unsigned long long>(r.deprioritized),
+              static_cast<unsigned long long>(r.shed),
+              static_cast<unsigned long long>(r.bursts), r.p99_low_s * 1e3,
+              r.p99_high_s * 1e3, r.duration_s);
+  obs::JsonWriter w;
+  w.begin_object();
+  w.field("bench", "ext_multitenant");
+  w.field("phase", "fairness");
+  w.field("tenants", std::uint64_t{steady_n + aggressive_n + hog_n});
+  w.field("aggressive", std::uint64_t{aggressive_n});
+  w.field("hogs", std::uint64_t{hog_n});
+  w.field("jain_steady", r.jain_steady);
+  w.field("jain_aggressive", r.jain_aggressive);
+  w.field("fairness_index", fairness);
+  w.field("ledger_fairness_index", r.ledger_fairness);
+  w.field("deflated", r.deflated);
+  w.field("deprioritized", r.deprioritized);
+  w.field("shed", r.shed);
+  w.field("credit_bursts", r.bursts);
+  w.field("p99_low_s", r.p99_low_s);
+  w.field("p99_high_s", r.p99_high_s);
+  w.field("duration_s", r.duration_s);
+  w.end_object();
+  std::printf("BENCH %s\n", std::move(w).str().c_str());
+  return fairness;
 }
 
-// --- phase 3: burst credits -------------------------------------------------
+// --- phase 2: burst credits -------------------------------------------------
 
 struct BurstResult {
   double p99_steady_s = 0.0;
@@ -321,7 +240,6 @@ BurstResult run_burst_config(double burst_credit_s) {
   const core::TenantId bursty{99};
 
   core::DispatcherOptions opts;
-  opts.lanes = 4;
   opts.tenant.enabled = true;
   // A 50 ms usage halflife makes the ladder see a ~60 ms burst at all;
   // with credits covering the over-share charge the burst is tolerated,
@@ -407,9 +325,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
   bench::print_header(
-      "Extension: sharded multi-tenant dispatcher + burst-credit fairness");
-  run_submit_throughput(quick);
-  std::printf("\n");
+      "Extension: multi-tenant dispatcher + burst-credit fairness");
   const double fairness = run_fairness(quick);
   std::printf("\n");
   if (!quick) run_burst_credits();
@@ -418,8 +334,7 @@ int main(int argc, char** argv) {
     std::printf("\n  FAILED: fairness index %.4f < 0.9\n", fairness);
     return 1;
   }
-  std::printf("\n  expectation: the striped submission plane scales submit()\n"
-              "  with physical cores; the ladder keeps equal-demand cohorts\n"
+  std::printf("\n  expectation: the ladder keeps equal-demand cohorts\n"
               "  even (Jain >= 0.9) while degrading over-quota tenants in\n"
               "  deflate -> deprioritize -> shed order; a burst inside the\n"
               "  credit balance rides the normal queues.\n");

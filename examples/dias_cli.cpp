@@ -110,9 +110,6 @@ void usage(const char* prog) {
       "                                this as its memory pressure band\n"
       "  --job-memory-mb <low,high>    declared per-class job footprints in MB\n"
       "                                (default 0,0 = undeclared)\n"
-      "  --lanes <n>                   striped submission lanes in the dispatcher;\n"
-      "                                0 = one per core, 1 = the single-lane plane\n"
-      "                                (default 0)\n"
       "  --tenants <n>                 multiplex submissions over n tenants with the\n"
       "                                fair-share ledger enabled (burst credits +\n"
       "                                deflate/deprioritize/shed ladder); 0 = untenanted\n"
@@ -366,8 +363,8 @@ int run_runtime_overload(core::AdmissionPolicy admission, std::size_t queue_cap,
                          std::vector<double> deadlines, bool adaptive,
                          std::vector<double> ceilings, std::size_t jobs,
                          double period_ms, std::size_t memory_capacity_mb,
-                         std::vector<double> job_memory_mb, std::size_t lanes,
-                         std::size_t tenants, bool csv, obs::Registry* metrics,
+                         std::vector<double> job_memory_mb, std::size_t tenants,
+                         bool csv, obs::Registry* metrics,
                          obs::Tracer* tracer) {
   static constexpr std::size_t kPartitions = 16;
   static constexpr int kTaskMs = 4;
@@ -383,7 +380,6 @@ int run_runtime_overload(core::AdmissionPolicy admission, std::size_t queue_cap,
     if (k < deadlines.size()) dopts.classes[k].deadline_s = deadlines[k];
   }
   dopts.memory_capacity_bytes = memory_capacity_mb << 20;
-  dopts.lanes = lanes;
   if (tenants > 0) dopts.tenant.enabled = true;
   core::DiasDispatcher dispatcher({0.0, 0.0}, dopts);
   dispatcher.attach_observability(metrics, tracer);
@@ -546,10 +542,9 @@ int run_runtime_overload(core::AdmissionPolicy admission, std::size_t queue_cap,
                   static_cast<unsigned long long>(snap.tenant_deflated),
                   static_cast<unsigned long long>(snap.tenant_deprioritized));
     } else {
-      std::printf("  tenants: %zu tracked over %zu lanes, Jain fairness %.4f, "
+      std::printf("  tenants: %zu tracked, Jain fairness %.4f, "
                   "%llu shed / %llu deflated / %llu deprioritized by the ladder\n",
-                  snap.tenants_tracked, dispatcher.lanes(),
-                  snap.tenant_fairness_index,
+                  snap.tenants_tracked, snap.tenant_fairness_index,
                   static_cast<unsigned long long>(snap.tenant_shed),
                   static_cast<unsigned long long>(snap.tenant_deflated),
                   static_cast<unsigned long long>(snap.tenant_deprioritized));
@@ -635,7 +630,6 @@ int main(int argc, char** argv) {
   double overload_period_ms = 10.0;
   std::size_t memory_capacity_mb = 0;
   std::vector<double> job_memory_mb;
-  std::size_t lanes = 0;
   std::size_t tenants = 0;
   std::size_t shuffle_budget_bytes = 0;
   std::string spill_dir;
@@ -730,8 +724,6 @@ int main(int argc, char** argv) {
       memory_capacity_mb = static_cast<std::size_t>(std::stoul(next()));
     } else if (arg == "--job-memory-mb") {
       job_memory_mb = parse_list(next());
-    } else if (arg == "--lanes") {
-      lanes = static_cast<std::size_t>(std::stoul(next()));
     } else if (arg == "--tenants") {
       tenants = static_cast<std::size_t>(std::stoul(next()));
     } else if (arg == "--shuffle-budget-bytes") {
@@ -798,7 +790,7 @@ int main(int argc, char** argv) {
                                         adaptive, std::move(theta_ceiling),
                                         overload_jobs, overload_period_ms,
                                         memory_capacity_mb, std::move(job_memory_mb),
-                                        lanes, tenants, csv,
+                                        tenants, csv,
                                         want_obs ? &obs_metrics : nullptr,
                                         want_obs ? &obs_tracer : nullptr);
     if (!flush_observability(metrics_out, trace_out, obs_metrics, obs_tracer)) return 1;

@@ -8,7 +8,6 @@
 
 #include "chaos/chaos.hpp"
 #include "common/error.hpp"
-#include "engine/thread_pool.hpp"
 
 namespace dias::core {
 
@@ -25,11 +24,6 @@ const char* to_string(JobOutcome outcome) {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-std::size_t default_lanes() {
-  const std::size_t hw = std::thread::hardware_concurrency();
-  return std::clamp<std::size_t>(hw, 1, 16);
-}
 
 }  // namespace
 
@@ -56,35 +50,10 @@ DiasDispatcher::DiasDispatcher(std::vector<double> theta, DispatcherOptions opti
     DIAS_EXPECTS(cp.deadline_s > 0.0, "class deadlines must be positive");
   }
 
-  bounded_ = options_.total_capacity != 0 || options_.memory_capacity_bytes != 0;
-  for (const auto& cp : options_.classes) {
-    if (cp.queue_capacity != 0) bounded_ = true;
-  }
-
-  const std::size_t lane_count = options_.lanes != 0 ? options_.lanes : default_lanes();
-  lanes_.reserve(lane_count);
-  for (std::size_t i = 0; i < lane_count; ++i) {
-    auto lane = std::make_unique<Lane>();
-    lane->normal.resize(priorities_);
-    lane->penalized.resize(priorities_);
-    lane->loads.resize(priorities_);
-    lane->head_normal = std::make_unique<std::atomic<std::uint64_t>[]>(priorities_);
-    lane->head_penalized = std::make_unique<std::atomic<std::uint64_t>[]>(priorities_);
-    for (std::size_t k = 0; k < priorities_; ++k) {
-      lane->head_normal[k].store(kEmptySeq, std::memory_order_relaxed);
-      lane->head_penalized[k].store(kEmptySeq, std::memory_order_relaxed);
-    }
-    lanes_.push_back(std::move(lane));
-  }
-
-  class_queued_ = std::make_unique<std::atomic<std::size_t>[]>(priorities_);
-  class_queued_memory_ = std::make_unique<std::atomic<std::size_t>[]>(priorities_);
-  memory_profile_ = std::make_unique<std::atomic<double>[]>(priorities_);
-  for (std::size_t k = 0; k < priorities_; ++k) {
-    class_queued_[k].store(0, std::memory_order_relaxed);
-    class_queued_memory_[k].store(0, std::memory_order_relaxed);
-    memory_profile_[k].store(0.0, std::memory_order_relaxed);
-  }
+  normal_.resize(priorities_);
+  penalized_.resize(priorities_);
+  loads_.resize(priorities_);
+  memory_profile_.assign(priorities_, 0.0);
 
   if (options_.tenant.enabled) {
     ledger_ = std::make_unique<FairShareLedger>(options_.tenant.ledger);
@@ -95,8 +64,10 @@ DiasDispatcher::DiasDispatcher(std::vector<double> theta, DispatcherOptions opti
 }
 
 void DiasDispatcher::attach_observability(obs::Registry* metrics, obs::Tracer* tracer) {
-  DIAS_EXPECTS(in_flight_.load(std::memory_order_seq_cst) == 0,
-               "attach observability before submitting jobs");
+  {
+    std::lock_guard lock(mu_);
+    DIAS_EXPECTS(in_flight_ == 0, "attach observability before submitting jobs");
+  }
   tracer_ = tracer;
   completed_counters_.clear();
   shed_counters_.clear();
@@ -140,23 +111,20 @@ void DiasDispatcher::attach_observability(obs::Registry* metrics, obs::Tracer* t
 }
 
 void DiasDispatcher::attach_sprint_governor(runtime::SprintGovernor* governor) {
-  DIAS_EXPECTS(in_flight_.load(std::memory_order_seq_cst) == 0,
-               "attach the sprint governor before submitting jobs");
+  {
+    std::lock_guard lock(mu_);
+    DIAS_EXPECTS(in_flight_ == 0, "attach the sprint governor before submitting jobs");
+  }
   governor_ = governor;
 }
 
 DiasDispatcher::~DiasDispatcher() {
-  stopping_.store(true, std::memory_order_seq_cst);
-  // Lock/unlock each waiter's mutex so no waiter is between its predicate
-  // check and its park when the notify lands.
   {
-    std::lock_guard lock(runner_mutex_);
+    std::lock_guard lock(mu_);
+    stopping_ = true;
   }
   work_cv_.notify_all();
   deadline_cv_.notify_all();
-  {
-    std::lock_guard lock(admission_mutex_);
-  }
   space_cv_.notify_all();
   dispatcher_.join();
   deadline_watchdog_.join();
@@ -166,43 +134,13 @@ double DiasDispatcher::now_s() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch_).count();
 }
 
-std::size_t DiasDispatcher::pick_lane(TenantId tenant) const {
-  const std::size_t n = lanes_.size();
-  if (n == 1) return 0;
-  if (tenant.has_value()) {
-    // Tenant-affine: one tenant's submissions always share a lane, so its
-    // per-lane FCFS position is stable and its records cluster per stripe.
-    const std::uint64_t h = tenant.value * 0x9E3779B97F4A7C15ull;
-    return static_cast<std::size_t>(h >> 32) % n;
-  }
-  // Pool workers map to their stable slot; foreign threads get a sticky
-  // id on first use, so a given submitter thread always hits one lane.
-  const std::size_t slot = engine::ThreadPool::calling_thread_slot();
-  if (slot != engine::ThreadPool::kNoSlot) return slot % n;
-  static std::atomic<std::size_t> next_thread{0};
-  thread_local const std::size_t sticky =
-      next_thread.fetch_add(1, std::memory_order_relaxed);
-  return sticky % n;
+void DiasDispatcher::stamp_arrival_locked(Pending& pending) {
+  pending.record.seq = next_seq_++;
+  ++loads_[pending.record.priority].arrivals;
 }
 
-void DiasDispatcher::publish_heads_locked(Lane& lane, std::size_t cls) {
-  lane.head_normal[cls].store(
-      lane.normal[cls].empty() ? kEmptySeq : lane.normal[cls].front().record.seq,
-      std::memory_order_seq_cst);
-  lane.head_penalized[cls].store(
-      lane.penalized[cls].empty() ? kEmptySeq : lane.penalized[cls].front().record.seq,
-      std::memory_order_seq_cst);
-}
-
-void DiasDispatcher::stamp_arrival_locked(Lane& lane, Pending& pending) {
-  // The admit seq is drawn under the lane lock, so each lane's deques stay
-  // seq-sorted and the published head is always the lane's minimum.
-  pending.record.seq = next_seq_.fetch_add(1, std::memory_order_seq_cst);
-  ++lane.loads[pending.record.priority].arrivals;
-}
-
-void DiasDispatcher::note_outcome_locked(Lane& lane, const JobRecord& record) {
-  ClassLoad& load = lane.loads[record.priority];
+void DiasDispatcher::note_outcome_locked(const JobRecord& record) {
+  ClassLoad& load = loads_[record.priority];
   obs::Counter* counter = nullptr;
   switch (record.outcome) {
     case JobOutcome::kCompleted:
@@ -225,8 +163,8 @@ void DiasDispatcher::note_outcome_locked(Lane& lane, const JobRecord& record) {
   if (counter != nullptr) counter->add();
 }
 
-void DiasDispatcher::finish_without_running_locked(Lane& lane, Pending&& pending,
-                                                   JobOutcome outcome, std::string why) {
+void DiasDispatcher::finish_without_running_locked(Pending&& pending, JobOutcome outcome,
+                                                   std::string why) {
   pending.token.request_cancel();
   pending.record.outcome = outcome;
   pending.record.error = std::move(why);
@@ -235,147 +173,90 @@ void DiasDispatcher::finish_without_running_locked(Lane& lane, Pending&& pending
   // and response_s() still measures the time spent queued.
   pending.record.start_s = pending.record.completion_s;
   pending.record.theta = theta_[pending.record.priority].load(std::memory_order_relaxed);
-  note_outcome_locked(lane, pending.record);
-  lane.completed.push_back(std::move(pending.record));
+  note_outcome_locked(pending.record);
+  completed_.push_back(std::move(pending.record));
 }
 
-void DiasDispatcher::enqueue_locked(Lane& lane, Pending&& pending) {
+Admission DiasDispatcher::reject_locked(Pending&& pending, std::string why) {
+  stamp_arrival_locked(pending);
+  finish_without_running_locked(std::move(pending), JobOutcome::kShed, std::move(why));
+  return Admission::kRejected;
+}
+
+void DiasDispatcher::enqueue_locked(Pending&& pending) {
   const std::size_t cls = pending.record.priority;
   const std::size_t accounted = pending.record.memory_bytes;
-  auto& queue = (pending.penalized ? lane.penalized : lane.normal)[cls];
-  queue.push_back(std::move(pending));
-  publish_heads_locked(lane, cls);
-  queued_total_.fetch_add(1, std::memory_order_seq_cst);
-  in_flight_.fetch_add(1, std::memory_order_seq_cst);
-  class_queued_[cls].fetch_add(1, std::memory_order_seq_cst);
-  class_queued_memory_[cls].fetch_add(accounted, std::memory_order_seq_cst);
-  memory_in_use_.fetch_add(accounted, std::memory_order_seq_cst);
-  if (memory_gauge_ != nullptr) {
-    memory_gauge_->set(static_cast<double>(memory_in_use_.load(std::memory_order_relaxed)));
-  }
-  if (!depth_gauges_.empty()) {
-    depth_gauges_[cls]->set(
-        static_cast<double>(class_queued_[cls].load(std::memory_order_relaxed)));
-  }
+  (pending.penalized ? penalized_ : normal_)[cls].push_back(std::move(pending));
+  ++queued_total_;
+  ++in_flight_;
+  loads_[cls].queued_memory_bytes += accounted;
+  memory_in_use_ += accounted;
+  if (memory_gauge_ != nullptr) memory_gauge_->set(static_cast<double>(memory_in_use_));
+  if (!depth_gauges_.empty()) depth_gauges_[cls]->set(static_cast<double>(class_depth_locked(cls)));
 }
 
-bool DiasDispatcher::queue_has_space(std::size_t priority, std::size_t memory_bytes) const {
+DiasDispatcher::Pending DiasDispatcher::take_front_locked(std::size_t cls, bool penalized) {
+  auto& queue = (penalized ? penalized_ : normal_)[cls];
+  Pending out = std::move(queue.front());
+  queue.pop_front();
+  --queued_total_;
+  loads_[cls].queued_memory_bytes -= out.record.memory_bytes;
+  if (!depth_gauges_.empty()) depth_gauges_[cls]->set(static_cast<double>(class_depth_locked(cls)));
+  return out;
+}
+
+void DiasDispatcher::release_memory_locked(std::size_t bytes) {
+  memory_in_use_ -= bytes;
+  if (memory_gauge_ != nullptr) memory_gauge_->set(static_cast<double>(memory_in_use_));
+}
+
+void DiasDispatcher::retire_in_flight_locked() {
+  if (--in_flight_ == 0) drain_cv_.notify_all();
+}
+
+bool DiasDispatcher::queue_has_space_locked(std::size_t priority,
+                                            std::size_t memory_bytes) const {
   const ClassPolicy& cp = options_.classes[priority];
-  if (cp.queue_capacity != 0 &&
-      class_queued_[priority].load(std::memory_order_seq_cst) >= cp.queue_capacity) {
+  if (cp.queue_capacity != 0 && class_depth_locked(priority) >= cp.queue_capacity) {
     return false;
   }
-  if (options_.total_capacity != 0 &&
-      queued_total_.load(std::memory_order_seq_cst) >= options_.total_capacity) {
+  if (options_.total_capacity != 0 && queued_total_ >= options_.total_capacity) {
     return false;
   }
   // Aggregate-footprint admission. An over-budget job is still admitted
   // when nothing else holds memory: no amount of waiting or shedding could
   // ever make it fit, so refusing it would starve (kBlock) or shed the
   // whole queue for nothing (kShedOldestLowest).
-  const std::size_t in_use = memory_in_use_.load(std::memory_order_seq_cst);
-  if (options_.memory_capacity_bytes != 0 && in_use > 0 &&
-      in_use + memory_bytes > options_.memory_capacity_bytes) {
+  if (options_.memory_capacity_bytes != 0 && memory_in_use_ > 0 &&
+      memory_in_use_ + memory_bytes > options_.memory_capacity_bytes) {
     return false;
   }
   return true;
 }
 
-bool DiasDispatcher::pop_oldest_of_class(std::size_t cls, Pending& out) {
-  for (;;) {
-    std::size_t best_lane = lanes_.size();
-    bool best_penalized = false;
-    std::uint64_t best_seq = kEmptySeq;
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      const std::uint64_t n = lanes_[i]->head_normal[cls].load(std::memory_order_seq_cst);
-      if (n != kEmptySeq && n < best_seq) {
-        best_seq = n;
-        best_lane = i;
-        best_penalized = false;
-      }
-      const std::uint64_t p =
-          lanes_[i]->head_penalized[cls].load(std::memory_order_seq_cst);
-      if (p != kEmptySeq && p < best_seq) {
-        best_seq = p;
-        best_lane = i;
-        best_penalized = true;
-      }
-    }
-    if (best_lane == lanes_.size()) return false;
-    Lane& lane = *lanes_[best_lane];
-    std::lock_guard guard(lane.mutex);
-    auto& queue = (best_penalized ? lane.penalized : lane.normal)[cls];
-    if (queue.empty() || queue.front().record.seq != best_seq) continue;  // runner raced us
-    out = std::move(queue.front());
-    queue.pop_front();
-    publish_heads_locked(lane, cls);
-    queued_total_.fetch_sub(1, std::memory_order_seq_cst);
-    class_queued_[cls].fetch_sub(1, std::memory_order_seq_cst);
-    class_queued_memory_[cls].fetch_sub(out.record.memory_bytes,
-                                        std::memory_order_seq_cst);
-    if (!depth_gauges_.empty()) {
-      depth_gauges_[cls]->set(
-          static_cast<double>(class_queued_[cls].load(std::memory_order_relaxed)));
-    }
-    return true;
-  }
+DiasDispatcher::Pending DiasDispatcher::pop_oldest_of_class_locked(std::size_t cls) {
+  const auto& normal = normal_[cls];
+  const auto& penalized = penalized_[cls];
+  const bool take_penalized =
+      !penalized.empty() &&
+      (normal.empty() || penalized.front().record.seq < normal.front().record.seq);
+  return take_front_locked(cls, take_penalized);
 }
 
-void DiasDispatcher::wake_runner() {
-  // Dekker pair with the runner's park: the submitter published its lane
-  // head (seq_cst) before this idle load; the runner stores idle (seq_cst)
-  // before its park-side rescan. Whichever ordered first, either the
-  // runner's rescan sees the job or this load sees idle and notifies under
-  // the runner mutex.
-  if (runner_idle_.load(std::memory_order_seq_cst)) {
-    std::lock_guard lock(runner_mutex_);
-    work_cv_.notify_one();
-  }
+void DiasDispatcher::notify_space_if_blocked_locked() {
+  // notify_all, not notify_one: waiters block on heterogeneous memory
+  // footprints, so the freed capacity may fit any subset of them.
+  if (blocked_submitters_ > 0) space_cv_.notify_all();
 }
 
-void DiasDispatcher::notify_space_if_blocked() {
-  // Only bounded configurations ever wait for space, and only when a
-  // submitter registered itself first (same Dekker argument as
-  // wake_runner: capacity was released seq_cst before this load; waiters
-  // register seq_cst before re-checking the predicate). notify_all, not
-  // notify_one: waiters block on heterogeneous memory footprints, so the
-  // freed capacity may fit any subset of them.
-  if (bounded_ && blocked_submitters_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard lock(admission_mutex_);
-    space_cv_.notify_all();
-  }
-}
-
-void DiasDispatcher::notify_drain_if_done() {
-  // Caller just dropped in_flight_ to zero.
-  if (drain_waiters_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard lock(drain_mutex_);
-    drain_cv_.notify_all();
-  }
-}
-
-void DiasDispatcher::seed_memory_profile(std::size_t priority, std::size_t declared) {
-  // Cold-start fix: the first *declared* footprint of a class seeds the
-  // profile at submission time, so concurrently arriving undeclared jobs
-  // of the class stop being admitted with a near-zero estimate. The EWMA
-  // fold at completion is idempotent for this first sample.
-  double expected = 0.0;
-  memory_profile_[priority].compare_exchange_strong(
-      expected, static_cast<double>(declared), std::memory_order_seq_cst,
-      std::memory_order_relaxed);
-}
-
-void DiasDispatcher::update_memory_profile(std::size_t priority, std::size_t declared) {
+void DiasDispatcher::update_memory_profile_locked(std::size_t priority,
+                                                  std::size_t declared) {
   if (declared == 0) return;
   const double sample = static_cast<double>(declared);
-  double cur = memory_profile_[priority].load(std::memory_order_relaxed);
-  double next = sample;
-  do {
-    next = cur == 0.0 ? sample  // first declared sample seeds the profile
-                      : (1.0 - options_.memory_profile_alpha) * cur +
-                            options_.memory_profile_alpha * sample;
-  } while (!memory_profile_[priority].compare_exchange_weak(
-      cur, next, std::memory_order_seq_cst, std::memory_order_relaxed));
+  double& profile = memory_profile_[priority];
+  profile = profile == 0.0 ? sample  // first declared sample seeds the profile
+                           : (1.0 - options_.memory_profile_alpha) * profile +
+                                 options_.memory_profile_alpha * sample;
 }
 
 double DiasDispatcher::effective_theta(const Pending& pending) const {
@@ -418,7 +299,6 @@ Admission DiasDispatcher::submit(std::size_t priority, TenantId tenant, ContextJ
   pending.record.tenant = tenant;
   pending.declared_memory = memory_bytes;
   pending.record.arrival_s = now_s();
-  pending.lane = pick_lane(tenant);
 
   // dispatcher.admit chaos point. kStall delays admission (bounded — no
   // token exists yet at this point); kThrow sheds the job through the same
@@ -426,225 +306,151 @@ Admission DiasDispatcher::submit(std::size_t priority, TenantId tenant, ContextJ
   // ends in no JobOutcome.
   static chaos::InjectionPoint& chaos_admit =
       chaos::ChaosPlane::instance().point(chaos::points::kDispatcherAdmit);
+  bool chaos_shed = false;
   if (chaos_admit.armed()) {
     try {
-      chaos_admit.inject(priority, pending.lane, chaos_admit.next_op());
+      chaos_admit.inject(priority, 0, chaos_admit.next_op());
     } catch (const chaos::ChaosError&) {
-      Lane& lane = *lanes_[pending.lane];
-      std::lock_guard guard(lane.mutex);
-      DIAS_EXPECTS(!stopping_.load(std::memory_order_seq_cst),
-                   "submit on a stopping dispatcher");
-      stamp_arrival_locked(lane, pending);
-      finish_without_running_locked(lane, std::move(pending), JobOutcome::kShed,
-                                    "shed by chaos injection at admission");
-      return Admission::kRejected;
+      chaos_shed = true;
     }
   }
 
-  if (memory_bytes > 0) seed_memory_profile(priority, memory_bytes);
+  // Tenant over-quota ladder, consulted outside the dispatcher lock (the
+  // ledger has its own) and before admission, so a kShed verdict never
+  // consumes queue capacity.
+  if (!chaos_shed && ledger_ != nullptr && tenant.has_value()) {
+    pending.record.tenant_action = ledger_->on_submit(tenant, now_s());
+  }
 
-  // Tenant over-quota ladder: consult the ledger before admission so a
-  // kShed verdict never consumes queue capacity.
-  if (ledger_ != nullptr && tenant.has_value()) {
-    const TenantAction action = ledger_->on_submit(tenant, now_s());
-    pending.record.tenant_action = action;
-    switch (action) {
-      case TenantAction::kNone:
-        break;
-      case TenantAction::kBurst:
-        tenant_bursts_.fetch_add(1, std::memory_order_relaxed);
-        if (tenant_burst_counter_ != nullptr) tenant_burst_counter_->add();
-        break;
-      case TenantAction::kDeflate:
-        tenant_deflated_.fetch_add(1, std::memory_order_relaxed);
-        if (tenant_deflated_counter_ != nullptr) tenant_deflated_counter_->add();
-        break;
-      case TenantAction::kDeprioritize:
-        tenant_deprioritized_.fetch_add(1, std::memory_order_relaxed);
-        if (tenant_deprioritized_counter_ != nullptr) tenant_deprioritized_counter_->add();
-        pending.penalized = true;
-        break;
-      case TenantAction::kShed: {
-        tenant_shed_.fetch_add(1, std::memory_order_relaxed);
-        if (tenant_shed_counter_ != nullptr) tenant_shed_counter_->add();
-        Lane& lane = *lanes_[pending.lane];
-        std::lock_guard guard(lane.mutex);
-        DIAS_EXPECTS(!stopping_.load(std::memory_order_seq_cst),
-                     "submit on a stopping dispatcher");
-        stamp_arrival_locked(lane, pending);
-        finish_without_running_locked(
-            lane, std::move(pending), JobOutcome::kShed,
-            "shed by tenant fair-share ladder: sustained usage beyond fair "
-            "share with burst credits exhausted");
-        return Admission::kRejected;
-      }
-    }
+  std::unique_lock lock(mu_);
+  DIAS_EXPECTS(!stopping_, "submit on a stopping dispatcher");
+  if (chaos_shed) {
+    return reject_locked(std::move(pending), "shed by chaos injection at admission");
+  }
+
+  // Cold-start fix: the first *declared* footprint of a class seeds the
+  // profile at submission time, so concurrently arriving undeclared jobs
+  // of the class stop being admitted with a near-zero estimate. The EWMA
+  // fold at completion is idempotent for this first sample.
+  if (memory_bytes > 0 && memory_profile_[priority] == 0.0) {
+    memory_profile_[priority] = static_cast<double>(memory_bytes);
+  }
+
+  switch (pending.record.tenant_action) {
+    case TenantAction::kNone:
+      break;
+    case TenantAction::kBurst:
+      ++tenant_bursts_;
+      if (tenant_burst_counter_ != nullptr) tenant_burst_counter_->add();
+      break;
+    case TenantAction::kDeflate:
+      ++tenant_deflated_;
+      if (tenant_deflated_counter_ != nullptr) tenant_deflated_counter_->add();
+      break;
+    case TenantAction::kDeprioritize:
+      ++tenant_deprioritized_;
+      if (tenant_deprioritized_counter_ != nullptr) tenant_deprioritized_counter_->add();
+      pending.penalized = true;
+      break;
+    case TenantAction::kShed:
+      ++tenant_shed_;
+      if (tenant_shed_counter_ != nullptr) tenant_shed_counter_->add();
+      return reject_locked(std::move(pending),
+                           "shed by tenant fair-share ladder: sustained usage beyond fair "
+                           "share with burst credits exhausted");
   }
 
   // Accounted footprint: what the submitter declared, else the class's
   // learned profile (0 when nothing of this class ever declared one).
   const std::size_t accounted =
-      memory_bytes > 0
-          ? memory_bytes
-          : static_cast<std::size_t>(memory_profile_[priority].load(std::memory_order_seq_cst));
+      memory_bytes > 0 ? memory_bytes : static_cast<std::size_t>(memory_profile_[priority]);
   pending.record.memory_bytes = accounted;
 
-  if (!bounded_) {
-    // Fast path: no capacity to check, so admission is one lane lock plus
-    // lock-free accounting — submissions on different lanes never contend.
-    Lane& lane = *lanes_[pending.lane];
-    {
-      std::lock_guard guard(lane.mutex);
-      DIAS_EXPECTS(!stopping_.load(std::memory_order_seq_cst),
-                   "submit on a stopping dispatcher");
-      stamp_arrival_locked(lane, pending);
-      enqueue_locked(lane, std::move(pending));
-    }
-    wake_runner();
-    return Admission::kAdmitted;
-  }
-
-  // Bounded plane: the capacity check-then-enqueue must be atomic against
-  // other submitters. The runner never takes this mutex — it only *frees*
-  // capacity concurrently, which cannot invalidate a passed check.
-  {
-    std::unique_lock alock(admission_mutex_);
-    DIAS_EXPECTS(!stopping_.load(std::memory_order_seq_cst),
-                 "submit on a stopping dispatcher");
-    if (!queue_has_space(priority, accounted)) {
-      switch (options_.admission) {
-        case AdmissionPolicy::kBlock:
-          blocked_submitters_.fetch_add(1, std::memory_order_seq_cst);
-          space_cv_.wait(alock, [&] {
-            return stopping_.load(std::memory_order_seq_cst) ||
-                   queue_has_space(priority, accounted);
-          });
-          blocked_submitters_.fetch_sub(1, std::memory_order_relaxed);
-          DIAS_EXPECTS(!stopping_.load(std::memory_order_seq_cst),
-                       "submit on a stopping dispatcher");
-          break;
-        case AdmissionPolicy::kReject: {
-          Lane& lane = *lanes_[pending.lane];
-          std::lock_guard guard(lane.mutex);
-          stamp_arrival_locked(lane, pending);
-          finish_without_running_locked(lane, std::move(pending), JobOutcome::kShed,
-                                        "rejected at admission: queue or memory full");
-          return Admission::kRejected;
-        }
-        case AdmissionPolicy::kShedOldestLowest: {
-          // Memory feasibility first: queued jobs of classes the newcomer
-          // outranks (or ties) are the only reclaimable footprint — the
-          // running job and higher-priority queues stay. If evicting all
-          // of them still cannot fit the newcomer, reject it up front
-          // instead of shedding the whole queue for nothing.
-          if (options_.memory_capacity_bytes != 0) {
-            std::size_t reclaimable = 0;
-            for (std::size_t k = 0; k <= priority; ++k) {
-              reclaimable += class_queued_memory_[k].load(std::memory_order_seq_cst);
-            }
-            const std::size_t in_use = memory_in_use_.load(std::memory_order_seq_cst);
-            const std::size_t rest = in_use - std::min(in_use, reclaimable);
-            // rest == 0 falls under the oversized-runs-alone rule (see
-            // queue_has_space): with nothing else holding memory the
-            // newcomer is admissible no matter its footprint.
-            if (rest > 0 && rest + accounted > options_.memory_capacity_bytes) {
-              Lane& lane = *lanes_[pending.lane];
-              std::lock_guard guard(lane.mutex);
-              stamp_arrival_locked(lane, pending);
-              finish_without_running_locked(
-                  lane, std::move(pending), JobOutcome::kShed,
-                  "rejected at admission: footprint cannot fit "
-                  "even after shedding every job it outranks");
-              return Admission::kRejected;
-            }
+  if (!queue_has_space_locked(priority, accounted)) {
+    switch (options_.admission) {
+      case AdmissionPolicy::kBlock:
+        ++blocked_submitters_;
+        space_cv_.wait(lock, [&] {
+          return stopping_ || queue_has_space_locked(priority, accounted);
+        });
+        --blocked_submitters_;
+        DIAS_EXPECTS(!stopping_, "submit on a stopping dispatcher");
+        break;
+      case AdmissionPolicy::kReject:
+        return reject_locked(std::move(pending),
+                             "rejected at admission: queue or memory full");
+      case AdmissionPolicy::kShedOldestLowest: {
+        // Memory feasibility first: queued jobs of classes the newcomer
+        // outranks (or ties) are the only reclaimable footprint — the
+        // running job and higher-priority queues stay. If evicting all
+        // of them still cannot fit the newcomer, reject it up front
+        // instead of shedding the whole queue for nothing.
+        if (options_.memory_capacity_bytes != 0) {
+          std::size_t reclaimable = 0;
+          for (std::size_t k = 0; k <= priority; ++k) {
+            reclaimable += loads_[k].queued_memory_bytes;
           }
-          // Shed until the newcomer fits. One victim suffices when a queue
-          // cap binds; under the memory cap several small jobs may have to
-          // go to make room for one big footprint. Each round either
-          // dequeues a victim, observes the runner freeing space, or gives
-          // up and sheds the newcomer.
-          while (!queue_has_space(priority, accounted)) {
-            // Prefer shedding within the class whose cap was hit; when only
-            // a dispatcher-wide cap binds, shed the oldest job of the
-            // lowest non-empty class the newcomer does not outrank.
-            const ClassPolicy& cp = options_.classes[priority];
-            std::size_t victim_class = priorities_;
-            if (cp.queue_capacity != 0 &&
-                class_queued_[priority].load(std::memory_order_seq_cst) >=
-                    cp.queue_capacity) {
-              victim_class = priority;
-            } else {
-              for (std::size_t k = 0; k <= priority; ++k) {
-                if (class_queued_[k].load(std::memory_order_seq_cst) > 0) {
-                  victim_class = k;
-                  break;
-                }
+          const std::size_t rest = memory_in_use_ - std::min(memory_in_use_, reclaimable);
+          // rest == 0 falls under the oversized-runs-alone rule (see
+          // queue_has_space_locked): with nothing else holding memory the
+          // newcomer is admissible no matter its footprint.
+          if (rest > 0 && rest + accounted > options_.memory_capacity_bytes) {
+            return reject_locked(std::move(pending),
+                                 "rejected at admission: footprint cannot fit "
+                                 "even after shedding every job it outranks");
+          }
+        }
+        // Shed until the newcomer fits. One victim suffices when a queue
+        // cap binds; under the memory cap several small jobs may have to
+        // go to make room for one big footprint.
+        while (!queue_has_space_locked(priority, accounted)) {
+          // Prefer shedding within the class whose cap was hit; when only
+          // a dispatcher-wide cap binds, shed the oldest job of the
+          // lowest non-empty class the newcomer does not outrank.
+          const ClassPolicy& cp = options_.classes[priority];
+          std::size_t victim_class = priorities_;
+          if (cp.queue_capacity != 0 && class_depth_locked(priority) >= cp.queue_capacity) {
+            victim_class = priority;
+          } else {
+            for (std::size_t k = 0; k <= priority; ++k) {
+              if (class_depth_locked(k) > 0) {
+                victim_class = k;
+                break;
               }
             }
-            if (victim_class == priorities_) {
-              Lane& lane = *lanes_[pending.lane];
-              std::lock_guard guard(lane.mutex);
-              stamp_arrival_locked(lane, pending);
-              finish_without_running_locked(lane, std::move(pending), JobOutcome::kShed,
-                                            "rejected at admission: no queued job to shed "
-                                            "that it outranks");
-              return Admission::kRejected;
-            }
-            Pending victim;
-            if (!pop_oldest_of_class(victim_class, victim)) {
-              // The runner emptied that class between the count and the
-              // pop; whatever it freed is re-checked by the loop guard.
-              continue;
-            }
-            memory_in_use_.fetch_sub(victim.record.memory_bytes,
-                                     std::memory_order_seq_cst);
-            if (memory_gauge_ != nullptr) {
-              memory_gauge_->set(
-                  static_cast<double>(memory_in_use_.load(std::memory_order_relaxed)));
-            }
-            {
-              Lane& vlane = *lanes_[victim.lane];
-              std::lock_guard guard(vlane.mutex);
-              finish_without_running_locked(vlane, std::move(victim), JobOutcome::kShed,
-                                            "shed for arriving priority-" +
-                                                std::to_string(priority) + " job");
-            }
-            if (in_flight_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-              notify_drain_if_done();
-            }
           }
-          break;
+          if (victim_class == priorities_) {
+            return reject_locked(std::move(pending),
+                                 "rejected at admission: no queued job to shed "
+                                 "that it outranks");
+          }
+          Pending victim = pop_oldest_of_class_locked(victim_class);
+          release_memory_locked(victim.record.memory_bytes);
+          finish_without_running_locked(std::move(victim), JobOutcome::kShed,
+                                        "shed for arriving priority-" +
+                                            std::to_string(priority) + " job");
+          retire_in_flight_locked();
         }
+        break;
       }
     }
-    Lane& lane = *lanes_[pending.lane];
-    std::lock_guard guard(lane.mutex);
-    stamp_arrival_locked(lane, pending);
-    enqueue_locked(lane, std::move(pending));
   }
-  wake_runner();
+  stamp_arrival_locked(pending);
+  enqueue_locked(std::move(pending));
+  lock.unlock();
+  work_cv_.notify_one();  // the runner is the only waiter
   return Admission::kAdmitted;
 }
 
 std::vector<DiasDispatcher::JobRecord> DiasDispatcher::drain() {
-  drain_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  {
-    std::unique_lock lock(drain_mutex_);
-    drain_cv_.wait(lock,
-                   [this] { return in_flight_.load(std::memory_order_seq_cst) == 0; });
-  }
-  drain_waiters_.fetch_sub(1, std::memory_order_relaxed);
   std::vector<JobRecord> out;
-  for (const auto& lane : lanes_) {
-    std::lock_guard guard(lane->mutex);
-    if (out.empty()) {
-      out = std::move(lane->completed);
-    } else {
-      out.insert(out.end(), std::make_move_iterator(lane->completed.begin()),
-                 std::make_move_iterator(lane->completed.end()));
-    }
-    lane->completed.clear();
+  {
+    std::unique_lock lock(mu_);
+    drain_cv_.wait(lock, [this] { return in_flight_ == 0; });
+    out.swap(completed_);
   }
+  // Records are appended in lock order, which can differ from completion
+  // order by a clock read; the sort restores the documented order.
   std::stable_sort(out.begin(), out.end(), [](const JobRecord& a, const JobRecord& b) {
     return std::tie(a.completion_s, a.arrival_s, a.seq) <
            std::tie(b.completion_s, b.arrival_s, b.seq);
@@ -666,39 +472,24 @@ double DiasDispatcher::theta(std::size_t priority) const {
 
 DiasDispatcher::LoadSnapshot DiasDispatcher::load_snapshot() const {
   LoadSnapshot snap;
-  snap.admit_seq_lo = next_seq_.load(std::memory_order_seq_cst);
-  snap.uptime_s = now_s();
   {
-    std::lock_guard lock(runner_mutex_);
+    std::lock_guard lock(mu_);
+    snap.uptime_s = now_s();
     snap.busy_s = busy_accum_s_;
     if (running_active_) snap.busy_s += snap.uptime_s - running_start_s_;
-  }
-  snap.classes.assign(priorities_, ClassLoad{});
-  // One lane at a time: each per-lane view is exact (taken under that
-  // lane's mutex); cross-lane skew is bounded by the submissions admitted
-  // during the scan, i.e. admit_seq_hi - admit_seq_lo.
-  for (const auto& lane_ptr : lanes_) {
-    Lane& lane = *lane_ptr;
-    std::lock_guard guard(lane.mutex);
+    snap.classes = loads_;
     for (std::size_t k = 0; k < priorities_; ++k) {
-      ClassLoad& acc = snap.classes[k];
-      const ClassLoad& partial = lane.loads[k];
-      acc.arrivals += partial.arrivals;
-      acc.completed += partial.completed;
-      acc.shed += partial.shed;
-      acc.cancelled += partial.cancelled;
-      acc.failed += partial.failed;
-      acc.queue_depth += lane.normal[k].size() + lane.penalized[k].size();
-      acc.penalized_depth += lane.penalized[k].size();
+      ClassLoad& c = snap.classes[k];
+      c.queue_depth = class_depth_locked(k);
+      c.penalized_depth = penalized_[k].size();
+      c.profiled_memory_bytes = static_cast<std::size_t>(memory_profile_[k]);
     }
+    snap.memory_in_use_bytes = memory_in_use_;
+    snap.tenant_bursts = tenant_bursts_;
+    snap.tenant_deflated = tenant_deflated_;
+    snap.tenant_deprioritized = tenant_deprioritized_;
+    snap.tenant_shed = tenant_shed_;
   }
-  for (std::size_t k = 0; k < priorities_; ++k) {
-    snap.classes[k].queued_memory_bytes =
-        class_queued_memory_[k].load(std::memory_order_seq_cst);
-    snap.classes[k].profiled_memory_bytes =
-        static_cast<std::size_t>(memory_profile_[k].load(std::memory_order_seq_cst));
-  }
-  snap.memory_in_use_bytes = memory_in_use_.load(std::memory_order_seq_cst);
   snap.memory_capacity_bytes = options_.memory_capacity_bytes;
   if (ledger_ != nullptr) {
     const FairShareLedger::Summary summary = ledger_->summary(snap.uptime_s);
@@ -706,10 +497,6 @@ DiasDispatcher::LoadSnapshot DiasDispatcher::load_snapshot() const {
     snap.tenants_active = summary.active;
     snap.tenants_over_quota = summary.over_quota;
     snap.tenant_fairness_index = summary.fairness_index;
-    snap.tenant_bursts = tenant_bursts_.load(std::memory_order_relaxed);
-    snap.tenant_deflated = tenant_deflated_.load(std::memory_order_relaxed);
-    snap.tenant_deprioritized = tenant_deprioritized_.load(std::memory_order_relaxed);
-    snap.tenant_shed = tenant_shed_.load(std::memory_order_relaxed);
     if (tenant_fairness_gauge_ != nullptr) {
       tenant_fairness_gauge_->set(summary.fairness_index);
     }
@@ -717,140 +504,45 @@ DiasDispatcher::LoadSnapshot DiasDispatcher::load_snapshot() const {
       tenant_over_quota_gauge_->set(static_cast<double>(summary.over_quota));
     }
   }
-  snap.admit_seq_hi = next_seq_.load(std::memory_order_seq_cst);
   return snap;
 }
 
-DiasDispatcher::Candidate DiasDispatcher::scan_heads() const {
-  // Lock-free: reads only the published head mirrors. Highest class first;
-  // within a class, compliant work before penalized, smallest admit seq
-  // first — exactly the order the single-lane dispatcher pops.
-  Candidate best;
-  for (std::size_t cls = priorities_; cls-- > 0;) {
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      const std::uint64_t seq = lanes_[i]->head_normal[cls].load(std::memory_order_seq_cst);
-      if (seq != kEmptySeq && (!best.found || seq < best.seq)) {
-        best.found = true;
-        best.lane = i;
-        best.cls = cls;
-        best.penalized = false;
-        best.seq = seq;
-      }
-    }
-    if (best.found) return best;
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      const std::uint64_t seq =
-          lanes_[i]->head_penalized[cls].load(std::memory_order_seq_cst);
-      if (seq != kEmptySeq && (!best.found || seq < best.seq)) {
-        best.found = true;
-        best.lane = i;
-        best.cls = cls;
-        best.penalized = true;
-        best.seq = seq;
-      }
-    }
-    if (best.found) return best;
-  }
-  return best;
-}
-
-bool DiasDispatcher::acquire_next_job(Pending& out) {
-  for (;;) {
-    const bool stop = stopping_.load(std::memory_order_seq_cst);
-    Candidate cand = scan_heads();
-    if (cand.found) {
-      // Stability rescan: a submit that fully published before a scan is
-      // always seen by it, so re-scanning until two passes agree closes
-      // the window where lane A's older job lands between our reads of
-      // lane A and lane B. (Submits still racing the final scan are
-      // legitimate nondeterminism.) Bounded to stay live under a storm.
-      for (int i = 0; i < 4; ++i) {
-        const Candidate again = scan_heads();
-        if (!again.found) {
-          cand.found = false;
-          break;
-        }
-        if (again.lane == cand.lane && again.cls == cand.cls &&
-            again.seq == cand.seq && again.penalized == cand.penalized) {
-          break;
-        }
-        cand = again;
-      }
-      if (!cand.found) continue;
-      Lane& lane = *lanes_[cand.lane];
-      std::lock_guard guard(lane.mutex);
-      auto& queue = (cand.penalized ? lane.penalized : lane.normal)[cand.cls];
-      if (queue.empty() || queue.front().record.seq != cand.seq) {
-        continue;  // a shed victim took it first; rescan
-      }
-      out = std::move(queue.front());
-      queue.pop_front();
-      publish_heads_locked(lane, cand.cls);
-      queued_total_.fetch_sub(1, std::memory_order_seq_cst);
-      class_queued_[cand.cls].fetch_sub(1, std::memory_order_seq_cst);
-      class_queued_memory_[cand.cls].fetch_sub(out.record.memory_bytes,
-                                               std::memory_order_seq_cst);
-      if (!depth_gauges_.empty()) {
-        depth_gauges_[cand.cls]->set(
-            static_cast<double>(class_queued_[cand.cls].load(std::memory_order_relaxed)));
-      }
-      return true;
-    }
-    if (stop) return false;  // the scan above ran after stopping was observed
-    // Park. The idle flag + post-flag rescan (inside the wait predicate,
-    // under the runner mutex) pairs with wake_runner(); see there.
-    std::unique_lock lock(runner_mutex_);
-    runner_idle_.store(true, std::memory_order_seq_cst);
-    work_cv_.wait(lock, [this] {
-      return stopping_.load(std::memory_order_seq_cst) || scan_heads().found;
-    });
-    runner_idle_.store(false, std::memory_order_seq_cst);
-  }
-}
-
 void DiasDispatcher::dispatcher_loop() {
+  std::unique_lock lock(mu_);
   for (;;) {
-    Pending job;
-    if (!acquire_next_job(job)) return;
+    work_cv_.wait(lock, [this] { return stopping_ || queued_total_ > 0; });
+    if (queued_total_ == 0) return;  // stopping, and everything queued ran
+    // Highest class first; within a class, compliant work before
+    // penalized, FCFS by admit seq.
+    std::size_t cls = priorities_ - 1;
+    while (class_depth_locked(cls) == 0) --cls;
+    Pending job = take_front_locked(cls, normal_[cls].empty());
     // The dequeue freed a queue slot (memory stays accounted while the job
     // runs); only submitters actually waiting are woken.
-    notify_space_if_blocked();
+    notify_space_if_blocked_locked();
 
-    const std::size_t p = job.record.priority;
-    const double deadline_abs = job.record.arrival_s + options_.classes[p].deadline_s;
+    const double deadline_abs = job.record.arrival_s + options_.classes[cls].deadline_s;
     if (now_s() >= deadline_abs) {
       // Expired while queued: terminal kCancelled, the body never runs.
-      memory_in_use_.fetch_sub(job.record.memory_bytes, std::memory_order_seq_cst);
-      if (memory_gauge_ != nullptr) {
-        memory_gauge_->set(
-            static_cast<double>(memory_in_use_.load(std::memory_order_relaxed)));
-      }
-      {
-        Lane& lane = *lanes_[job.lane];
-        std::lock_guard guard(lane.mutex);
-        finish_without_running_locked(lane, std::move(job), JobOutcome::kCancelled,
-                                      "deadline exceeded before start");
-      }
-      notify_space_if_blocked();
-      if (in_flight_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-        notify_drain_if_done();
-      }
+      release_memory_locked(job.record.memory_bytes);
+      finish_without_running_locked(std::move(job), JobOutcome::kCancelled,
+                                    "deadline exceeded before start");
+      notify_space_if_blocked_locked();
+      retire_in_flight_locked();
       continue;
     }
 
     const double theta = effective_theta(job);
     job.record.theta = theta;
     job.record.start_s = now_s();
-    {
-      std::lock_guard lock(runner_mutex_);
-      running_active_ = true;
-      running_token_ = job.token;
-      running_deadline_abs_s_ = deadline_abs;
-      running_start_s_ = job.record.start_s;
-    }
+    running_active_ = true;
+    running_token_ = job.token;
+    running_deadline_abs_s_ = deadline_abs;
+    running_start_s_ = job.record.start_s;
     // Only a finite deadline can flip the watchdog's wait predicate, and
     // the watchdog is the cv's only waiter.
     if (deadline_abs != kInf) deadline_cv_.notify_one();
+    lock.unlock();
 
     // Non-preemptive: the job runs to completion (or its terminal outcome)
     // before the next dispatch.
@@ -902,44 +594,33 @@ void DiasDispatcher::dispatcher_loop() {
       queueing_hist_->observe(job.record.queueing_s());
     }
 
-    {
-      std::lock_guard lock(runner_mutex_);
-      busy_accum_s_ += job.record.completion_s - job.record.start_s;
-      running_active_ = false;
-      running_deadline_abs_s_ = kInf;
-      running_token_ = CancellationToken{};
-    }
-    memory_in_use_.fetch_sub(job.record.memory_bytes, std::memory_order_seq_cst);
-    if (memory_gauge_ != nullptr) {
-      memory_gauge_->set(
-          static_cast<double>(memory_in_use_.load(std::memory_order_relaxed)));
-    }
-    update_memory_profile(p, job.declared_memory);
     if (ledger_ != nullptr && job.record.tenant.has_value()) {
       ledger_->note_completion(job.record.tenant, job.record.execution_s(), now_s());
     }
-    {
-      Lane& lane = *lanes_[job.lane];
-      std::lock_guard guard2(lane.mutex);
-      note_outcome_locked(lane, job.record);
-      lane.completed.push_back(std::move(job.record));
-    }
-    // Gated notifies (the PR-5 code broadcast all three cvs after every
-    // job): space only when the freed memory can unblock a registered
-    // waiter; drain only when this was the last in-flight job; the
+    job.fn = nullptr;  // release the body's captures outside the lock
+
+    lock.lock();
+    busy_accum_s_ += job.record.completion_s - job.record.start_s;
+    running_active_ = false;
+    running_deadline_abs_s_ = kInf;
+    running_token_ = CancellationToken{};
+    release_memory_locked(job.record.memory_bytes);
+    update_memory_profile_locked(cls, job.declared_memory);
+    note_outcome_locked(job.record);
+    completed_.push_back(std::move(job.record));
+    // Gated notifies: space only when a submitter is registered as
+    // blocked; drain only when this was the last in-flight job; the
     // deadline cv not at all — the watchdog re-arms from the *next* job's
     // start, and a stale wait_until deadline wakes it into a no-op check.
-    notify_space_if_blocked();
-    if (in_flight_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-      notify_drain_if_done();
-    }
+    notify_space_if_blocked_locked();
+    retire_in_flight_locked();
   }
 }
 
 void DiasDispatcher::deadline_loop() {
-  std::unique_lock lock(runner_mutex_);
+  std::unique_lock lock(mu_);
   for (;;) {
-    if (stopping_.load(std::memory_order_seq_cst)) return;
+    if (stopping_) return;
     if (!running_active_ || running_deadline_abs_s_ == kInf) {
       deadline_cv_.wait(lock);
       continue;

@@ -13,27 +13,16 @@
 // cancellation, and every submitted job — whether it ran or not — ends in
 // exactly one terminal JobOutcome recorded in its JobRecord.
 //
-// Sharded submission plane (ISSUE 7). PR 5's dispatcher serialized every
-// submit(), dequeue, completion, and load_snapshot() on one mutex — fine
-// for benchmarks, a bottleneck under a many-thread submission storm. The
-// plane is now striped into N MPSC lanes (DispatcherOptions::lanes;
-// per-core by default, tenant-group-affine when a TenantId is supplied):
-//
-//   * submit() stamps the global admit sequence and enqueues under *its
-//     lane's* mutex only; submissions on different lanes never touch the
-//     same lock. Global accounting (queued totals, per-class depths,
-//     aggregate memory) is lock-free atomics.
-//   * The JobRecord store is striped the same way: a job's terminal record
-//     lands in its lane's completed segment; drain() merges the segments
-//     and applies the documented stable order, which is byte-identical to
-//     the single-lane dispatcher's (FCFS within class is preserved because
-//     the runner always dequeues the smallest admit_seq among the lane
-//     heads of the chosen class — see dispatcher.cpp).
-//   * Bounded admission (queue caps / memory capacity) still needs a
-//     consistent check-then-act against global capacity, so *bounded*
-//     configurations serialize submissions on a dedicated admission mutex
-//     (never held by the runner); unbounded configurations — the
-//     submission-storm fast path — skip it entirely.
+// One lock. Every piece of dispatcher state — the per-class normal and
+// penalized queues, the completed records, the per-class counters, the
+// admit sequence, the queued / in-flight / memory accounting, the memory
+// profile, and the running-job state the deadline watchdog reads — sits
+// behind one mutex, with four condition variables on it (runner work,
+// submitter space, drain, deadline). Job bodies run outside the lock on
+// the single runner thread, which is the paper's one-server model. Only
+// the per-class drop ratios are atomics, so the overload controller's
+// set_theta() never waits on a submission. The fair-share ledger keeps
+// its own locks and is never called with the dispatcher lock held.
 //
 // Multi-tenancy (ISSUE 7): submit() overloads take a TenantId; with
 // DispatcherOptions::tenant.enabled a FairShareLedger (core/tenant.hpp)
@@ -141,11 +130,6 @@ struct DispatcherOptions {
   // which undeclared jobs were admitted with a near-zero estimate closes
   // as soon as any job of the class declares a footprint.
   double memory_profile_alpha = 0.3;
-  // Number of striped submission lanes. 0 = auto (one per hardware
-  // thread, capped at 16); 1 reproduces the PR-5 single-lane plane
-  // bit-for-bit. Lane choice never affects semantics, only contention:
-  // drain() ordering and within-class FCFS are lane-count-invariant.
-  std::size_t lanes = 0;
   // Per-tenant fair-share policy; see MultiTenantOptions.
   MultiTenantOptions tenant;
   // Per-class policy; classes beyond the vector use the defaults
@@ -225,14 +209,6 @@ class DiasDispatcher {
     // pressure signal.
     std::size_t memory_in_use_bytes = 0;
     std::size_t memory_capacity_bytes = 0;
-    // Staleness bound of this merged view: the global admit sequence read
-    // before the first lane was visited and after the last. Every per-lane
-    // view is internally consistent (taken under that lane's mutex); the
-    // only possible skew is submissions racing the scan, and there were at
-    // most (admit_seq_hi - admit_seq_lo) of them. Both values are equal
-    // when the snapshot is exact.
-    std::uint64_t admit_seq_lo = 0;
-    std::uint64_t admit_seq_hi = 0;
     // Tenant-plane aggregates (all zero / 1.0 without a ledger).
     std::size_t tenants_tracked = 0;
     std::size_t tenants_active = 0;
@@ -260,7 +236,6 @@ class DiasDispatcher {
   DiasDispatcher& operator=(const DiasDispatcher&) = delete;
 
   std::size_t priorities() const { return priorities_; }
-  std::size_t lanes() const { return lanes_.size(); }
 
   // Enqueues a job. Returns kAdmitted unless admission control turned it
   // away (kReject policy, kShedOldestLowest with nothing to shed, or the
@@ -282,10 +257,8 @@ class DiasDispatcher {
   // returns the records. Ordering is stable and documented: ascending
   // completion time, ties broken by arrival time, then by arrival
   // sequence number — so two zero-duration jobs (or a shed burst stamped
-  // with one clock reading) always drain in submission order. The order
-  // is lane-count-invariant: a sharded dispatcher drains byte-identically
-  // to the single-lane one for the same admitted sequence. The dispatcher
-  // stays usable afterwards.
+  // with one clock reading) always drain in submission order. The
+  // dispatcher stays usable afterwards.
   std::vector<JobRecord> drain();
 
   // Replaces class k's drop ratio for jobs dispatched from now on (the
@@ -296,9 +269,8 @@ class DiasDispatcher {
 
   // Cheap, thread-safe snapshot of queue depths and cumulative outcome
   // counts; the overload controller samples this to estimate arrival
-  // rates and utilization. Lock-striped: the snapshot visits one lane at
-  // a time and never stalls submissions on other lanes; see
-  // LoadSnapshot::admit_seq_lo/hi for the documented staleness bound.
+  // rates and utilization. Exact: every per-class figure is read under the
+  // one dispatcher lock, so at most the running job is in no count yet.
   LoadSnapshot load_snapshot() const;
 
   // The fair-share ledger, or nullptr when MultiTenantOptions::enabled is
@@ -326,8 +298,6 @@ class DiasDispatcher {
   void attach_sprint_governor(runtime::SprintGovernor* governor);
 
  private:
-  static constexpr std::uint64_t kEmptySeq = std::numeric_limits<std::uint64_t>::max();
-
   struct Pending {
     ContextJobFn fn;
     JobRecord record;
@@ -336,118 +306,79 @@ class DiasDispatcher {
     // profile when the job finishes. record.memory_bytes holds what
     // admission actually accounted.
     std::size_t declared_memory = 0;
-    std::size_t lane = 0;      // striped segment owning this job's record
     bool penalized = false;    // queued behind the class's compliant work
-  };
-
-  // One striped submission lane: an MPSC front (many submitters, the one
-  // runner) plus this stripe's segment of the JobRecord store. Heads of
-  // the per-class deques are mirrored into atomics so the runner can scan
-  // for the next job without touching any lane lock.
-  struct alignas(64) Lane {
-    mutable std::mutex mutex;
-    std::vector<std::deque<Pending>> normal;     // per class, seq-ordered
-    std::vector<std::deque<Pending>> penalized;  // per class, seq-ordered
-    std::vector<JobRecord> completed;            // this stripe's record segment
-    std::vector<ClassLoad> loads;                // per-class counters
-    std::unique_ptr<std::atomic<std::uint64_t>[]> head_normal;     // [classes]
-    std::unique_ptr<std::atomic<std::uint64_t>[]> head_penalized;  // [classes]
-  };
-
-  struct Candidate {
-    bool found = false;
-    std::size_t lane = 0;
-    std::size_t cls = 0;
-    bool penalized = false;
-    std::uint64_t seq = 0;
   };
 
   void dispatcher_loop();
   void deadline_loop();
   double now_s() const;
 
-  std::size_t pick_lane(TenantId tenant) const;
-  // Lock-free scan of the lane head mirrors: best dispatchable job
-  // (highest class; compliant before penalized; smallest admit seq).
-  Candidate scan_heads() const;
-  // Pops the next job into `out`; false when (stopping and) nothing is
-  // queued. Blocks on the runner cv while idle.
-  bool acquire_next_job(Pending& out);
-  // Re-publishes a lane's head mirrors for class `cls`; lane lock held.
-  void publish_heads_locked(Lane& lane, std::size_t cls);
-  // Stamps the admit seq and counts the arrival; lane lock held.
-  void stamp_arrival_locked(Lane& lane, Pending& pending);
-  // Pushes an admitted (seq-stamped) job and updates global accounting;
-  // lane lock held.
-  void enqueue_locked(Lane& lane, Pending&& pending);
-  // Terminal record for a job that never ran; lane lock held.
-  void finish_without_running_locked(Lane& lane, Pending&& pending, JobOutcome outcome,
+  // Every *_locked helper runs with mu_ held.
+  // Stamps the admit seq and counts the arrival.
+  void stamp_arrival_locked(Pending& pending);
+  // Pushes an admitted (seq-stamped) job and updates the accounting.
+  void enqueue_locked(Pending&& pending);
+  // Pops the front of one of class `cls`'s subqueues (non-empty).
+  Pending take_front_locked(std::size_t cls, bool penalized);
+  // Terminal record for a job that never ran.
+  void finish_without_running_locked(Pending&& pending, JobOutcome outcome,
                                      std::string why);
-  void note_outcome_locked(Lane& lane, const JobRecord& record);
-  // Global-capacity admission check against the lock-free accounting;
-  // admission_mutex_ held (bounded configurations only).
-  bool queue_has_space(std::size_t priority, std::size_t memory_bytes) const;
-  // Pops the globally oldest queued job of `cls` (penalized first);
-  // admission_mutex_ held. Returns false when the class is empty.
-  bool pop_oldest_of_class(std::size_t cls, Pending& out);
-  // Wakes the runner iff it parked itself idle.
-  void wake_runner();
-  // Wakes blocked submitters / drain waiters iff any are present.
-  void notify_space_if_blocked();
-  void notify_drain_if_done();
-  // Seeds / folds a declared footprint into the class profile.
-  void seed_memory_profile(std::size_t priority, std::size_t declared);
-  void update_memory_profile(std::size_t priority, std::size_t declared);
+  // Turns a newcomer away at the door: stamps its arrival, records it as
+  // shed with `why`, and returns kRejected.
+  Admission reject_locked(Pending&& pending, std::string why);
+  void note_outcome_locked(const JobRecord& record);
+  // Drops `bytes` from the accounted memory in use.
+  void release_memory_locked(std::size_t bytes);
+  // Retires one in-flight job; wakes drain() when it was the last.
+  void retire_in_flight_locked();
+  // Capacity admission check for a newcomer of `priority` and footprint.
+  bool queue_has_space_locked(std::size_t priority, std::size_t memory_bytes) const;
+  // Pops the oldest queued job of `cls`: the older head of its two
+  // subqueues. The class must be non-empty.
+  Pending pop_oldest_of_class_locked(std::size_t cls);
+  std::size_t class_depth_locked(std::size_t cls) const {
+    return normal_[cls].size() + penalized_[cls].size();
+  }
+  // Wakes blocked submitters iff any are registered.
+  void notify_space_if_blocked_locked();
+  // Folds a declared footprint into the class profile.
+  void update_memory_profile_locked(std::size_t priority, std::size_t declared);
   double effective_theta(const Pending& pending) const;
 
   std::size_t priorities_ = 0;
   std::unique_ptr<std::atomic<double>[]> theta_;  // per class, lock-free
   DispatcherOptions options_;
-  bool bounded_ = false;  // any queue/memory cap configured
   std::chrono::steady_clock::time_point epoch_;
   std::unique_ptr<FairShareLedger> ledger_;  // null unless tenant.enabled
 
-  // Striped submission lanes + record segments.
-  std::vector<std::unique_ptr<Lane>> lanes_;
-
-  // Lock-free global accounting.
-  std::atomic<std::uint64_t> next_seq_{0};
-  std::atomic<std::size_t> queued_total_{0};
-  std::atomic<std::size_t> in_flight_{0};
-  std::atomic<std::size_t> memory_in_use_{0};
-  std::unique_ptr<std::atomic<std::size_t>[]> class_queued_;         // [classes]
-  std::unique_ptr<std::atomic<std::size_t>[]> class_queued_memory_;  // [classes]
-  std::unique_ptr<std::atomic<double>[]> memory_profile_;            // [classes]
-  std::atomic<bool> stopping_{false};
-
-  // Tenant ladder counters (lock-free; mirrored into LoadSnapshot).
-  std::atomic<std::uint64_t> tenant_bursts_{0};
-  std::atomic<std::uint64_t> tenant_deflated_{0};
-  std::atomic<std::uint64_t> tenant_deprioritized_{0};
-  std::atomic<std::uint64_t> tenant_shed_{0};
-
-  // Bounded-admission plane: serializes capacity check-then-enqueue so
-  // caps cannot be oversubscribed by racing submitters. Never taken by
-  // the runner; unbounded configurations never take it at all.
-  std::mutex admission_mutex_;
-  std::condition_variable space_cv_;
-  std::atomic<int> blocked_submitters_{0};
-
-  // Runner parking + running-job state for the deadline watchdog.
-  mutable std::mutex runner_mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable deadline_cv_;
-  std::atomic<bool> runner_idle_{false};
-  bool running_active_ = false;                   // guarded by runner_mutex_
-  CancellationToken running_token_;               // guarded by runner_mutex_
+  // Everything below up to the obs sinks is guarded by mu_.
+  mutable std::mutex mu_;
+  std::condition_variable work_cv_;      // runner: a job was queued, or stopping
+  std::condition_variable space_cv_;     // blocked submitters: capacity freed
+  std::condition_variable drain_cv_;     // drain(): in-flight reached zero
+  std::condition_variable deadline_cv_;  // watchdog: a finite deadline started
+  std::vector<std::deque<Pending>> normal_;     // per class, seq-ordered
+  std::vector<std::deque<Pending>> penalized_;  // per class, seq-ordered
+  std::vector<JobRecord> completed_;
+  // Per-class cumulative counters and queued memory; load_snapshot() adds
+  // the depths and the profile.
+  std::vector<ClassLoad> loads_;
+  std::vector<double> memory_profile_;  // per class EWMA of declared footprints
+  std::uint64_t next_seq_ = 0;
+  std::size_t queued_total_ = 0;
+  std::size_t in_flight_ = 0;  // queued + running
+  std::size_t memory_in_use_ = 0;
+  bool stopping_ = false;
+  int blocked_submitters_ = 0;
+  std::uint64_t tenant_bursts_ = 0;
+  std::uint64_t tenant_deflated_ = 0;
+  std::uint64_t tenant_deprioritized_ = 0;
+  std::uint64_t tenant_shed_ = 0;
+  bool running_active_ = false;
+  CancellationToken running_token_;
   double running_deadline_abs_s_ = std::numeric_limits<double>::infinity();
-  double running_start_s_ = 0.0;                  // guarded by runner_mutex_
-  double busy_accum_s_ = 0.0;                     // guarded by runner_mutex_
-
-  // Drain rendezvous.
-  std::mutex drain_mutex_;
-  std::condition_variable drain_cv_;
-  std::atomic<int> drain_waiters_{0};
+  double running_start_s_ = 0.0;
+  double busy_accum_s_ = 0.0;
 
   obs::Tracer* tracer_ = nullptr;                  // set before first submit
   runtime::SprintGovernor* governor_ = nullptr;    // set before first submit

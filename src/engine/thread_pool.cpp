@@ -77,8 +77,6 @@ std::size_t ThreadPool::current_slot() const {
   return tl_worker.pool == this ? tl_worker.slot : kNoSlot;
 }
 
-std::size_t ThreadPool::calling_thread_slot() { return tl_worker.slot; }
-
 std::size_t ThreadPool::active_workers() {
   std::lock_guard lock(mutex_);
   return active_limit_;

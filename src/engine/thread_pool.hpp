@@ -81,11 +81,6 @@ class ThreadPool {
   // indexed without synchronization.
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
   std::size_t current_slot() const;
-  // Slot id of the calling thread in whatever pool owns it (kNoSlot for
-  // threads no pool owns). Lets pool-agnostic code — e.g. the sharded
-  // dispatcher's lane selection — reuse the stable per-worker identity
-  // without holding a pool reference.
-  static std::size_t calling_thread_slot();
 
   // Enqueues a task; the future resolves when it ran (or rethrows).
   std::future<void> submit(std::function<void()> task);

@@ -1,12 +1,14 @@
-// Sharded submission plane + multi-tenant ladder (ISSUE 7).
+// Concurrent submission into the one-lock dispatcher + the multi-tenant
+// ladder.
 //
-// Covers the tentpole and three satellites:
-//   * drain-ordering property: random cross-lane submit interleavings must
-//     drain byte-identically to the single-lane dispatcher;
+// Covers:
+//   * drain-ordering property: round-robin submits from several threads,
+//     tenanted and untenanted, drain in the predicted order (highest class
+//     first, FCFS by admit seq);
 //   * lost-wakeup regression for the gated cv notifies: every blocked
 //     submitter is eventually admitted and every job completes;
 //   * load_snapshot() during a submit storm is race-free (run under the
-//     tsan label) and its staleness is bounded by admit_seq_lo/hi;
+//     tsan label) and exact: at most the running job is in no count;
 //   * the FairShareLedger over-quota ladder wired into submit():
 //     deflate -> deprioritize -> shed, visible in records and metrics.
 #include "core/dispatcher.hpp"
@@ -43,43 +45,39 @@ std::vector<JobKey> keys_of(const std::vector<DiasDispatcher::JobRecord>& record
   return out;
 }
 
-// Submits the same randomized interleaving into a sharded and a single-lane
-// dispatcher (runner plugged so everything queues), and asserts the drains
-// are byte-identical and match the documented order: the plug first, then
-// highest class first, FCFS by admit seq within a class.
-void run_drain_order_round(unsigned seed, bool tenant_affine) {
+// Submits a randomized interleaving from round-robin threads (runner
+// plugged so everything queues), half of the jobs tenanted, and asserts the
+// drain matches the documented order: the plug first, then highest class
+// first, FCFS by admit seq within a class.
+void run_drain_order_round(unsigned seed) {
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kJobsPerThread = 30;
   constexpr std::size_t kClasses = 3;
 
-  DispatcherOptions sharded_opts;
-  sharded_opts.lanes = 4;
-  DispatcherOptions single_opts;
-  single_opts.lanes = 1;
-  DiasDispatcher sharded({0.1, 0.2, 0.3}, sharded_opts);
-  DiasDispatcher single({0.1, 0.2, 0.3}, single_opts);
-  ASSERT_EQ(sharded.lanes(), 4u);
-  ASSERT_EQ(single.lanes(), 1u);
+  DiasDispatcher dispatcher({0.1, 0.2, 0.3});
 
-  // Plug both runners with a top-class job so every later submission is
+  // Plug the runner with a top-class job so every later submission is
   // still queued when the interleaving finishes.
   std::atomic<bool> release{false};
-  std::atomic<int> plugs_running{0};
-  for (DiasDispatcher* d : {&sharded, &single}) {
-    d->submit(kClasses - 1, [&](double) {
-      plugs_running.fetch_add(1);
-      while (!release.load()) std::this_thread::sleep_for(100us);
-    });
-  }
-  while (plugs_running.load() < 2) std::this_thread::sleep_for(100us);
+  std::atomic<bool> plug_running{false};
+  dispatcher.submit(kClasses - 1, [&](double) {
+    plug_running = true;
+    while (!release.load()) std::this_thread::sleep_for(100us);
+  });
+  while (!plug_running.load()) std::this_thread::sleep_for(100us);
 
-  // Pre-generated random priorities; the interleaving itself is a strict
-  // round-robin over the submitter threads, so both dispatchers see the
-  // identical global submission order (and assign identical admit seqs).
+  // Pre-generated random priorities and tenancy; the interleaving itself
+  // is a strict round-robin over the submitter threads, so the global
+  // submission order (and hence every admit seq) is known up front.
   std::mt19937 rng(seed);
   std::uniform_int_distribution<std::size_t> pick_class(0, kClasses - 1);
+  std::bernoulli_distribution tenanted(0.5);
   std::vector<std::size_t> priorities(kThreads * kJobsPerThread);
-  for (auto& p : priorities) p = pick_class(rng);
+  std::vector<bool> with_tenant(kThreads * kJobsPerThread);
+  for (std::size_t i = 0; i < priorities.size(); ++i) {
+    priorities[i] = pick_class(rng);
+    with_tenant[i] = tenanted(rng);
+  }
 
   std::atomic<std::size_t> turn{0};
   std::vector<std::thread> submitters;
@@ -91,11 +89,9 @@ void run_drain_order_round(unsigned seed, bool tenant_affine) {
         while (turn.load(std::memory_order_acquire) != my_turn) {
           std::this_thread::yield();
         }
-        const std::size_t priority = priorities[my_turn];
         const TenantId tenant =
-            tenant_affine ? TenantId{t + 1} : TenantId{};  // no ledger: id only
-        sharded.submit(priority, tenant, [](double) {});
-        single.submit(priority, tenant, [](double) {});
+            with_tenant[my_turn] ? TenantId{t + 1} : TenantId{};  // no ledger: id only
+        dispatcher.submit(priorities[my_turn], tenant, [](double) {});
         turn.fetch_add(1, std::memory_order_release);
       }
     });
@@ -103,36 +99,27 @@ void run_drain_order_round(unsigned seed, bool tenant_affine) {
   for (auto& th : submitters) th.join();
   release = true;
 
-  const auto sharded_records = sharded.drain();
-  const auto single_records = single.drain();
-  ASSERT_EQ(sharded_records.size(), kThreads * kJobsPerThread + 1);
-  ASSERT_EQ(single_records.size(), kThreads * kJobsPerThread + 1);
+  const auto records = dispatcher.drain();
+  ASSERT_EQ(records.size(), kThreads * kJobsPerThread + 1);
 
-  const auto sharded_keys = keys_of(sharded_records);
-  const auto single_keys = keys_of(single_records);
-  EXPECT_EQ(sharded_keys, single_keys) << "sharded drain diverged from single-lane";
-
-  // Both must equal the predicted order outright: the plug (seq 0, top
-  // class) completes first; the rest were all queued at release, so they
+  // The k-th round-robin submission drew admit seq k + 1 (the plug has 0).
+  std::vector<JobKey> predicted;
+  predicted.push_back({kClasses - 1, 0, 0});
+  for (std::size_t k = 0; k < priorities.size(); ++k) {
+    const std::uint64_t tenant = with_tenant[k] ? k % kThreads + 1 : 0;
+    predicted.push_back({priorities[k], k + 1, tenant});
+  }
+  // The plug completes first; the rest were all queued at release, so they
   // execute highest class first, FCFS by admit seq within the class.
-  std::vector<JobKey> predicted = single_keys;
   std::sort(predicted.begin() + 1, predicted.end(), [](const JobKey& a, const JobKey& b) {
     if (a.priority != b.priority) return a.priority > b.priority;
     return a.seq < b.seq;
   });
-  EXPECT_EQ(sharded_keys, predicted);
+  EXPECT_EQ(keys_of(records), predicted) << "seed " << seed;
 }
 
-TEST(DispatcherShardTest, DrainOrderIsByteIdenticalToSingleLane) {
-  for (unsigned seed = 1; seed <= 4; ++seed) {
-    run_drain_order_round(seed, /*tenant_affine=*/false);
-  }
-}
-
-TEST(DispatcherShardTest, DrainOrderIsByteIdenticalWithTenantAffineLanes) {
-  for (unsigned seed = 11; seed <= 14; ++seed) {
-    run_drain_order_round(seed, /*tenant_affine=*/true);
-  }
+TEST(DispatcherShardTest, DrainOrderIsHighestClassThenFcfs) {
+  for (unsigned seed = 1; seed <= 4; ++seed) run_drain_order_round(seed);
 }
 
 // Satellite: the completion path notifies space/drain cvs only when the
@@ -147,7 +134,6 @@ TEST(DispatcherShardTest, BlockedSubmittersAllEventuallyAdmitted) {
   opts.classes = {ClassPolicy{2, std::numeric_limits<double>::infinity()},
                   ClassPolicy{3, std::numeric_limits<double>::infinity()}};
   opts.memory_capacity_bytes = 4096;
-  opts.lanes = 4;
   DiasDispatcher dispatcher({0.0, 0.0}, opts);
 
   constexpr int kThreads = 8;
@@ -179,13 +165,13 @@ TEST(DispatcherShardTest, BlockedSubmittersAllEventuallyAdmitted) {
   for (const auto& r : records) EXPECT_EQ(r.outcome, JobOutcome::kCompleted);
 }
 
-// Satellite: load_snapshot() off the global lock. Under tsan this asserts
-// the merged view races with nothing; the admit_seq_lo/hi pair bounds the
-// staleness, and the final quiescent snapshot is exact.
+// Satellite: load_snapshot() under a submit storm. Under tsan this asserts
+// the snapshot races with nothing. Every snapshot is exact: each arrival
+// is either in a terminal count, still queued, or the one running job;
+// and the queued jobs' declared footprints are part of the memory in use
+// (which also covers the running job's).
 TEST(DispatcherShardTest, SnapshotDuringSubmitStormIsConsistent) {
-  DispatcherOptions opts;
-  opts.lanes = 8;
-  DiasDispatcher dispatcher({0.0, 0.0}, opts);
+  DiasDispatcher dispatcher({0.0, 0.0});
 
   constexpr int kThreads = 8;
   constexpr int kJobsPerThread = 400;
@@ -197,19 +183,23 @@ TEST(DispatcherShardTest, SnapshotDuringSubmitStormIsConsistent) {
       for (int i = 0; i < kJobsPerThread; ++i) {
         dispatcher.submit(static_cast<std::size_t>(i % 2),
                           TenantId{static_cast<std::uint64_t>(t % 3 + 1)},
-                          [](double) {});
+                          [](double) {}, static_cast<std::size_t>(64 + i % 7));
       }
     });
   }
-  std::uint64_t last_hi = 0;
   while (!storm_done.load()) {
     const auto snap = dispatcher.load_snapshot();
-    EXPECT_LE(snap.admit_seq_lo, snap.admit_seq_hi);
-    EXPECT_GE(snap.admit_seq_lo, last_hi == 0 ? 0 : snap.admit_seq_lo);
-    EXPECT_LE(last_hi, snap.admit_seq_hi);  // the admit seq is monotone
-    last_hi = snap.admit_seq_hi;
     std::uint64_t arrivals = 0;
-    for (const auto& c : snap.classes) arrivals += c.arrivals;
+    std::uint64_t accounted = 0;
+    std::size_t queued_memory = 0;
+    for (const auto& c : snap.classes) {
+      arrivals += c.arrivals;
+      accounted += c.completed + c.shed + c.cancelled + c.failed + c.queue_depth;
+      queued_memory += c.queued_memory_bytes;
+    }
+    ASSERT_GE(arrivals, accounted);
+    EXPECT_LE(arrivals - accounted, 1u) << "only the running job may be uncounted";
+    EXPECT_LE(queued_memory, snap.memory_in_use_bytes);
     EXPECT_LE(arrivals, static_cast<std::uint64_t>(kThreads) * kJobsPerThread);
     if (arrivals >= static_cast<std::uint64_t>(kThreads) * kJobsPerThread) {
       storm_done = true;
@@ -219,7 +209,6 @@ TEST(DispatcherShardTest, SnapshotDuringSubmitStormIsConsistent) {
   dispatcher.drain();
 
   const auto snap = dispatcher.load_snapshot();
-  EXPECT_EQ(snap.admit_seq_lo, snap.admit_seq_hi);  // quiescent: exact view
   std::uint64_t completed = 0;
   for (const auto& c : snap.classes) completed += c.completed;
   EXPECT_EQ(completed, static_cast<std::uint64_t>(kThreads) * kJobsPerThread);
@@ -233,7 +222,6 @@ TEST(DispatcherShardTest, SnapshotDuringSubmitStormIsConsistent) {
 // snapshot counters, and metrics.
 TEST(DispatcherShardTest, TenantLadderDeflatesDeprioritizesShedsInOrder) {
   DispatcherOptions opts;
-  opts.lanes = 4;
   opts.tenant.enabled = true;
   opts.tenant.deflate_theta = 0.5;
   opts.tenant.ledger.capacity_slots = 1.0;
@@ -331,23 +319,6 @@ TEST(DispatcherShardTest, TenantLadderDeflatesDeprioritizesShedsInOrder) {
   EXPECT_EQ(registry.counter("dispatcher.tenant.deflated").value(), 1u);
   EXPECT_EQ(registry.counter("dispatcher.tenant.deprioritized").value(), 1u);
   EXPECT_GT(registry.gauge("dispatcher.tenant.fairness_index").value(), 0.0);
-}
-
-TEST(DispatcherShardTest, LaneCountDefaultsAndOverrides) {
-  DiasDispatcher auto_lanes({0.0});
-  EXPECT_GE(auto_lanes.lanes(), 1u);
-  EXPECT_LE(auto_lanes.lanes(), 16u);
-  DispatcherOptions opts;
-  opts.lanes = 3;
-  DiasDispatcher three({0.0}, opts);
-  EXPECT_EQ(three.lanes(), 3u);
-  EXPECT_EQ(three.tenant_ledger(), nullptr);  // tenancy off by default
-  std::atomic<int> runs{0};
-  for (int i = 0; i < 32; ++i) {
-    three.submit(0, [&](double) { ++runs; });
-  }
-  three.drain();
-  EXPECT_EQ(runs.load(), 32);
 }
 
 }  // namespace

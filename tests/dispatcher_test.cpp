@@ -133,6 +133,18 @@ TEST(DispatcherTest, ObservabilityCountsPerClassCompletions) {
   EXPECT_EQ(tracer.event_count(), 12u);
 }
 
+TEST(DispatcherTest, TenancyIsOffByDefault) {
+  DiasDispatcher dispatcher({0.0});
+  EXPECT_EQ(dispatcher.tenant_ledger(), nullptr);
+  // Without a ledger a TenantId is only recorded; no ladder stage fires.
+  dispatcher.submit(0, TenantId{7}, [](double) {});
+  const auto records = dispatcher.drain();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].tenant.value, 7u);
+  EXPECT_EQ(records[0].tenant_action, TenantAction::kNone);
+  EXPECT_EQ(dispatcher.load_snapshot().tenants_tracked, 0u);
+}
+
 TEST(DispatcherTest, Validation) {
   EXPECT_THROW(DiasDispatcher({}), dias::precondition_error);
   EXPECT_THROW(DiasDispatcher({1.5}), dias::precondition_error);
