@@ -138,7 +138,12 @@ model::JobClassProfile Profiler::build_class_profile(const JobBody& body,
     return std::max(run.wall - task_wall, 1e-6);
   };
   profile.mean_overhead_theta0 = overhead(exact, exact.map_tasks);
-  profile.mean_overhead_theta90 = overhead(dropped, dropped.map_tasks);
+  // Dropping only removes work, so a theta=0.9 overhead above the theta=0
+  // one is scheduling noise (a straggler or preempted worker inflates the
+  // wall far more than the mean task time). Capping it keeps the modeled
+  // processing time non-increasing in theta.
+  profile.mean_overhead_theta90 =
+      std::min(overhead(dropped, dropped.map_tasks), profile.mean_overhead_theta0);
   return profile;
 }
 

@@ -54,7 +54,8 @@ class Profiler {
 
   // Full paper-style profiling: runs at theta = 0 and theta = 0.9,
   // averaging `repetitions` runs each, and assembles a JobClassProfile
-  // whose overhead endpoints come from the measured non-task wall time.
+  // whose overhead endpoints come from the measured non-task wall time
+  // (the theta=0.9 endpoint capped at the theta=0 one).
   // `arrival_rate` and `slots` parameterize the queueing side.
   model::JobClassProfile build_class_profile(const JobBody& body, double arrival_rate,
                                              int slots, int repetitions = 3);

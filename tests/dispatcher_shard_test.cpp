@@ -3,8 +3,9 @@
 //
 // Covers:
 //   * drain-ordering property: round-robin submits from several threads,
-//     tenanted and untenanted, drain in the predicted order (highest class
-//     first, FCFS by admit seq);
+//     mixed tenancy or one tenant per thread, drain byte-identically to the
+//     same sequence submitted from one thread, in the predicted order
+//     (highest class first, FCFS by admit seq);
 //   * lost-wakeup regression for the gated cv notifies: every blocked
 //     submitter is eventually admitted and every job completes;
 //   * load_snapshot() during a submit storm is race-free (run under the
@@ -45,30 +46,36 @@ std::vector<JobKey> keys_of(const std::vector<DiasDispatcher::JobRecord>& record
   return out;
 }
 
-// Submits a randomized interleaving from round-robin threads (runner
-// plugged so everything queues), half of the jobs tenanted, and asserts the
-// drain matches the documented order: the plug first, then highest class
-// first, FCFS by admit seq within a class.
-void run_drain_order_round(unsigned seed) {
+// Submits the same randomized sequence into two dispatchers (runners
+// plugged so everything queues): concurrently from round-robin threads into
+// one, and from this thread alone -- a single submission lane -- into the
+// other. With `tenant_affine` every job carries its submitter's tenant;
+// otherwise tenanted and untenanted jobs are mixed at random. Asserts the drains are byte-identical and match the documented
+// order: the plug first, then highest class first, FCFS by admit seq within
+// a class.
+void run_drain_order_round(unsigned seed, bool tenant_affine) {
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kJobsPerThread = 30;
   constexpr std::size_t kClasses = 3;
 
-  DiasDispatcher dispatcher({0.1, 0.2, 0.3});
+  DiasDispatcher concurrent({0.1, 0.2, 0.3});
+  DiasDispatcher single({0.1, 0.2, 0.3});
 
-  // Plug the runner with a top-class job so every later submission is
+  // Plug both runners with a top-class job so every later submission is
   // still queued when the interleaving finishes.
   std::atomic<bool> release{false};
-  std::atomic<bool> plug_running{false};
-  dispatcher.submit(kClasses - 1, [&](double) {
-    plug_running = true;
-    while (!release.load()) std::this_thread::sleep_for(100us);
-  });
-  while (!plug_running.load()) std::this_thread::sleep_for(100us);
+  std::atomic<int> plugs_running{0};
+  for (DiasDispatcher* d : {&concurrent, &single}) {
+    d->submit(kClasses - 1, [&](double) {
+      plugs_running.fetch_add(1);
+      while (!release.load()) std::this_thread::sleep_for(100us);
+    });
+  }
+  while (plugs_running.load() < 2) std::this_thread::sleep_for(100us);
 
-  // Pre-generated random priorities and tenancy; the interleaving itself
-  // is a strict round-robin over the submitter threads, so the global
-  // submission order (and hence every admit seq) is known up front.
+  // Pre-generated random priorities; the interleaving itself is a strict
+  // round-robin over the submitter threads, so both dispatchers see the
+  // identical global submission order (and assign identical admit seqs).
   std::mt19937 rng(seed);
   std::uniform_int_distribution<std::size_t> pick_class(0, kClasses - 1);
   std::bernoulli_distribution tenanted(0.5);
@@ -76,8 +83,12 @@ void run_drain_order_round(unsigned seed) {
   std::vector<bool> with_tenant(kThreads * kJobsPerThread);
   for (std::size_t i = 0; i < priorities.size(); ++i) {
     priorities[i] = pick_class(rng);
-    with_tenant[i] = tenanted(rng);
+    with_tenant[i] = tenant_affine || tenanted(rng);
   }
+  // Tenanted jobs carry their submitter thread's tenant (no ledger: id only).
+  const auto tenant_of = [&](std::size_t turn) {
+    return with_tenant[turn] ? TenantId{turn % kThreads + 1} : TenantId{};
+  };
 
   std::atomic<std::size_t> turn{0};
   std::vector<std::thread> submitters;
@@ -89,37 +100,53 @@ void run_drain_order_round(unsigned seed) {
         while (turn.load(std::memory_order_acquire) != my_turn) {
           std::this_thread::yield();
         }
-        const TenantId tenant =
-            with_tenant[my_turn] ? TenantId{t + 1} : TenantId{};  // no ledger: id only
-        dispatcher.submit(priorities[my_turn], tenant, [](double) {});
+        concurrent.submit(priorities[my_turn], tenant_of(my_turn), [](double) {});
         turn.fetch_add(1, std::memory_order_release);
       }
     });
   }
+  for (std::size_t k = 0; k < priorities.size(); ++k) {
+    single.submit(priorities[k], tenant_of(k), [](double) {});
+  }
   for (auto& th : submitters) th.join();
   release = true;
 
-  const auto records = dispatcher.drain();
-  ASSERT_EQ(records.size(), kThreads * kJobsPerThread + 1);
+  const auto concurrent_records = concurrent.drain();
+  const auto single_records = single.drain();
+  ASSERT_EQ(concurrent_records.size(), kThreads * kJobsPerThread + 1);
+  ASSERT_EQ(single_records.size(), kThreads * kJobsPerThread + 1);
 
-  // The k-th round-robin submission drew admit seq k + 1 (the plug has 0).
+  const auto concurrent_keys = keys_of(concurrent_records);
+  const auto single_keys = keys_of(single_records);
+  EXPECT_EQ(concurrent_keys, single_keys)
+      << "concurrent drain diverged from single-lane, seed " << seed;
+
+  // Both must equal the predicted order outright. The k-th submission drew
+  // admit seq k + 1 (the plug has 0); the plug completes first, and the
+  // rest were all queued at release, so they execute highest class first,
+  // FCFS by admit seq within the class.
   std::vector<JobKey> predicted;
   predicted.push_back({kClasses - 1, 0, 0});
   for (std::size_t k = 0; k < priorities.size(); ++k) {
-    const std::uint64_t tenant = with_tenant[k] ? k % kThreads + 1 : 0;
-    predicted.push_back({priorities[k], k + 1, tenant});
+    predicted.push_back({priorities[k], k + 1, tenant_of(k).value});
   }
-  // The plug completes first; the rest were all queued at release, so they
-  // execute highest class first, FCFS by admit seq within the class.
   std::sort(predicted.begin() + 1, predicted.end(), [](const JobKey& a, const JobKey& b) {
     if (a.priority != b.priority) return a.priority > b.priority;
     return a.seq < b.seq;
   });
-  EXPECT_EQ(keys_of(records), predicted) << "seed " << seed;
+  EXPECT_EQ(concurrent_keys, predicted) << "seed " << seed;
 }
 
-TEST(DispatcherShardTest, DrainOrderIsHighestClassThenFcfs) {
-  for (unsigned seed = 1; seed <= 4; ++seed) run_drain_order_round(seed);
+TEST(DispatcherShardTest, DrainOrderIsByteIdenticalToSingleLane) {
+  for (unsigned seed = 1; seed <= 4; ++seed) {
+    run_drain_order_round(seed, /*tenant_affine=*/false);
+  }
+}
+
+TEST(DispatcherShardTest, DrainOrderIsByteIdenticalWithTenantAffineLanes) {
+  for (unsigned seed = 11; seed <= 14; ++seed) {
+    run_drain_order_round(seed, /*tenant_affine=*/true);
+  }
 }
 
 // Satellite: the completion path notifies space/drain cvs only when the

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -83,6 +85,35 @@ TEST(ProfilerTest, BuildClassProfileFeedsTheModel) {
   EXPECT_GT(ph.mean(), 0.0);
   const auto dropped = model::ResponseTimeModel::processing_time(profile, 0.6);
   EXPECT_LT(dropped.mean(), ph.mean());
+}
+
+TEST(ProfilerTest, DroppedOverheadNeverExceedsExact) {
+  engine::Engine eng(eng_opts());
+  Profiler profiler(eng);
+  // Only the dropped (theta > 0) runs carry a 30 ms straggler: the first of
+  // their ~1 ms tasks to start. Its wall time lands in the overhead, which
+  // must still not rise above theta=0's.
+  const Profiler::JobBody body = [](engine::Engine& e, double theta) {
+    const auto ds = e.parallelize(std::vector<int>(80, 1), 40);
+    engine::StageOptions opts;
+    opts.name = "straggler/map";
+    opts.droppable = true;
+    opts.drop_ratio_override = theta;
+    auto straggled = std::make_shared<std::atomic<bool>>(theta == 0.0);
+    e.map_partitions(
+        ds,
+        [straggled](const std::vector<int>& part) {
+          const bool straggler = !straggled->exchange(true);
+          std::this_thread::sleep_for(std::chrono::milliseconds(straggler ? 30 : 1));
+          return part;
+        },
+        opts);
+  };
+  const auto profile = profiler.build_class_profile(body, 0.01, 4, /*repetitions=*/1);
+  EXPECT_LE(profile.mean_overhead_theta90, profile.mean_overhead_theta0);
+  EXPECT_GT(profile.mean_overhead_theta90, 0.0);
+  EXPECT_LT(model::ResponseTimeModel::processing_time(profile, 0.9).mean(),
+            model::ResponseTimeModel::processing_time(profile, 0.0).mean());
 }
 
 TEST(ProfilerTest, RealWordCountProfile) {
