@@ -13,7 +13,8 @@ WordCountResult word_count(engine::Engine& eng, const engine::Dataset<std::strin
                            engine::ShuffleOptions shuffle, engine::PlanSource* planner) {
   eng.clear_stage_log();
 
-  // Map: parse rows -> (word, 1) pairs. This is the droppable stage.
+  // Map: parse rows and count words per task -> one (word, count) per
+  // distinct word, in first-appearance order. This is the droppable stage.
   engine::StageOptions map_opts;
   map_opts.name = "wordcount/map";
   map_opts.droppable = true;
@@ -30,24 +31,26 @@ WordCountResult word_count(engine::Engine& eng, const engine::Dataset<std::strin
   auto pairs = eng.map_partitions(
       rows,
       [](const std::vector<std::string>& part) {
-        std::vector<std::pair<std::string, std::uint64_t>> out;
+        engine::detail::FlatMap<std::string, std::uint64_t> counts;
+        const auto count = [&](const std::string& word) {
+          bool created = false;
+          ++counts.find_or_emplace(word, [] { return std::uint64_t{0}; }, &created);
+        };
+        std::string scratch;
         for (const auto& row : part) {
-          const std::string body = workload::extract_post_body(row);
-          for (auto& word : workload::tokenize(body)) {
-            out.emplace_back(std::move(word), 1);
-          }
+          workload::for_each_word(workload::find_post_body(row), scratch, count);
         }
-        return out;
+        return std::move(counts.entries());
       },
       map_opts);
 
-  // Shuffle + reduce: sum counts per word. Map-side combining collapses
-  // the (word, 1) stream to one entry per distinct word per map task
-  // before it crosses the shuffle.
+  // Shuffle + reduce: sum counts per word. The map output is already
+  // combined per task, so the shuffle ships it raw unless the planner
+  // turns its combiner on.
   engine::StageOptions reduce_opts;
   reduce_opts.name = "wordcount";
   reduce_opts.droppable = false;
-  shuffle.combine = true;
+  shuffle.combine = false;
   if (planner != nullptr) {
     // The reduce is a uint64 sum — bitwise order-insensitive — so every
     // knob (combiner included) is plan-safe.
@@ -62,7 +65,9 @@ WordCountResult word_count(engine::Engine& eng, const engine::Dataset<std::strin
       reduce_opts, shuffle);
 
   WordCountResult result;
-  for (const auto& kv : reduced.collect()) result.counts.emplace(kv.first, kv.second);
+  auto collected = reduced.collect();
+  result.counts.reserve(collected.size());
+  for (auto& kv : collected) result.counts.emplace(std::move(kv.first), kv.second);
   result.duration_s = eng.logged_duration();
   for (const auto& stage : eng.stage_log()) {
     if (stage.kind == engine::EngineStageKind::kMap) {
@@ -86,9 +91,10 @@ WordCounts WordCountResult::rescaled_counts() const {
 
 WordCounts exact_word_count(const std::vector<std::string>& rows) {
   WordCounts counts;
+  const auto count = [&](const std::string& word) { ++counts[word]; };
+  std::string scratch;
   for (const auto& row : rows) {
-    const std::string body = workload::extract_post_body(row);
-    for (const auto& word : workload::tokenize(body)) ++counts[word];
+    workload::for_each_word(workload::find_post_body(row), scratch, count);
   }
   return counts;
 }

@@ -2,6 +2,9 @@
 //
 // Mirrors the paper's StackExchange job: parse XML rows to extract post
 // bodies, tokenize, and count word frequencies via map + reduce-by-key.
+// Each map task counts its own partition and emits one per-task
+// (word, count) per distinct word, so the shuffle ships those raw (no
+// second combine unless a planner turns it on) and the reduce sums them.
 // The map stage is droppable; accuracy loss is measured as the mean
 // absolute percent error of the approximate counts against an exact run
 // (Figure 6).
@@ -43,7 +46,8 @@ struct WordCountResult {
 // (typically runtime::AdaptivePlanner) is consulted at each stage
 // boundary: the map stage exposes only the speculation knob, while the
 // reduce stage — a uint64 sum, bitwise order-insensitive — exposes every
-// knob including the combiner toggle.
+// knob including the combiner toggle. `shuffle.combine` is ignored: the
+// static plan ships the per-task counts raw.
 WordCountResult word_count(engine::Engine& eng, const engine::Dataset<std::string>& rows,
                            std::size_t reduce_partitions = 20, double drop_override = -1.0,
                            engine::ShuffleOptions shuffle = {},

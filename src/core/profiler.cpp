@@ -165,9 +165,10 @@ model::PhaseType Profiler::fit_wave_distribution(const JobProfile& profile,
   const double mean_wave = wall / waves;
   DIAS_EXPECTS(mean_wave > 0.0, "measured wave time must be positive");
   // Wave makespans concentrate relative to task times (max of `slots`
-  // near-equal tasks); shrink the measured per-task scv accordingly.
+  // near-equal tasks); shrink the measured per-task scv accordingly,
+  // floored at kMinWaveScv to bound the fitted Erlang chain.
   const double scv =
-      std::max(profile.map_task_scv() / static_cast<double>(slots), 1e-3);
+      std::max(profile.map_task_scv() / static_cast<double>(slots), kMinWaveScv);
   return model::PhaseType::fit_two_moments(mean_wave, scv);
 }
 

@@ -61,7 +61,11 @@ class Profiler {
                                              int slots, int repetitions = 3);
 
   // Fits a PH wave-execution-time distribution (two-moment fit over the
-  // per-wave makespans implied by `slots`) for the wave-level model.
+  // per-wave makespans implied by `slots`) for the wave-level model. The
+  // wave scv is floored at kMinWaveScv, which caps the fitted Erlang chain
+  // at ceil(1 / kMinWaveScv) = 251 phases; the floor sits just under 4e-3
+  // because the fitted scv carries ~1e-14 rounding.
+  static constexpr double kMinWaveScv = 3.99e-3;
   model::PhaseType fit_wave_distribution(const JobProfile& profile, int slots) const;
 
  private:

@@ -1,7 +1,6 @@
 #include "workload/text_corpus.hpp"
 
 #include <algorithm>
-#include <cctype>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -75,28 +74,22 @@ TextCorpus generate_text_corpus(const std::string& site, const TextCorpusParams&
   return corpus;
 }
 
-std::string extract_post_body(const std::string& row) {
-  const std::string key = "Body=\"";
-  const auto start = row.find(key);
-  if (start == std::string::npos) return {};
-  const auto body_start = start + key.size();
+std::string_view find_post_body(std::string_view row) {
+  constexpr std::string_view kKey = "Body=\"";
+  const auto start = row.find(kKey);
+  if (start == std::string_view::npos) return {};
+  const auto body_start = start + kKey.size();
   const auto end = row.find('"', body_start);
-  if (end == std::string::npos) return {};
+  if (end == std::string_view::npos) return {};
   return row.substr(body_start, end - body_start);
 }
 
-std::vector<std::string> tokenize(const std::string& body) {
+std::string extract_post_body(std::string_view row) { return std::string(find_post_body(row)); }
+
+std::vector<std::string> tokenize(std::string_view body) {
   std::vector<std::string> words;
-  std::string current;
-  for (char c : body) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      current.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    } else if (!current.empty()) {
-      words.push_back(std::move(current));
-      current.clear();
-    }
-  }
-  if (!current.empty()) words.push_back(std::move(current));
+  std::string scratch;
+  for_each_word(body, scratch, [&](const std::string& word) { words.push_back(word); });
   return words;
 }
 

@@ -9,8 +9,11 @@
 // count job exercises parsing + tokenization like the paper's text jobs.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace dias::workload {
@@ -43,11 +46,44 @@ struct TextCorpus {
 // Generates one site's dump. `site` names the topic (e.g. "anime").
 TextCorpus generate_text_corpus(const std::string& site, const TextCorpusParams& params);
 
-// Extracts the post body from a <row ... Body="..."/> line; returns an
-// empty string for malformed rows.
-std::string extract_post_body(const std::string& row);
+namespace detail {
+// Byte -> lower-cased word byte, or 0 for a separator: ASCII letters and
+// digits, matching std::isalnum/std::tolower under the "C" locale.
+constexpr std::array<char, 256> make_word_bytes() {
+  std::array<char, 256> t{};
+  for (int c = '0'; c <= '9'; ++c) t[c] = static_cast<char>(c);
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = static_cast<char>(c);
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = static_cast<char>(c - 'A' + 'a');
+  return t;
+}
+inline constexpr std::array<char, 256> kWordBytes = make_word_bytes();
+}  // namespace detail
 
-// Lower-cases and splits a body into words.
-std::vector<std::string> tokenize(const std::string& body);
+// The post body of a <row ... Body="..."/> line, as a view into `row`;
+// empty for malformed rows.
+std::string_view find_post_body(std::string_view row);
+
+// Calls `f(word)` for each word of `body` in order: a maximal run of ASCII
+// letters and digits, lower-cased. Each word is built in `scratch` and
+// passed as a const std::string& valid only for that call; the buffer is
+// reused across words, so the walk allocates only while `scratch` grows.
+template <typename F>
+void for_each_word(std::string_view body, std::string& scratch, F&& f) {
+  scratch.clear();
+  for (const char c : body) {
+    const char lower = detail::kWordBytes[static_cast<unsigned char>(c)];
+    if (lower != 0) {
+      scratch.push_back(lower);
+    } else if (!scratch.empty()) {
+      f(std::as_const(scratch));
+      scratch.clear();
+    }
+  }
+  if (!scratch.empty()) f(std::as_const(scratch));
+}
+
+// Owning wrappers over find_post_body / for_each_word.
+std::string extract_post_body(std::string_view row);
+std::vector<std::string> tokenize(std::string_view body);
 
 }  // namespace dias::workload

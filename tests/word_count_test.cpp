@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <vector>
 
 #include "workload/text_corpus.hpp"
@@ -80,6 +82,79 @@ TEST(WordCountTest, ErrorGrowsWithDropRatio) {
     }
     prev_error = err;
   }
+}
+
+// The stage-log entry of `kind`, or null; each word_count run logs one.
+const engine::StageInfo* stage_of(const engine::Engine& eng, engine::EngineStageKind kind) {
+  const engine::StageInfo* found = nullptr;
+  for (const auto& stage : eng.stage_log()) {
+    if (stage.kind == kind) {
+      EXPECT_EQ(found, nullptr) << "two stages of kind " << engine::to_string(kind);
+      found = &stage;
+    }
+  }
+  return found;
+}
+
+TEST(WordCountTest, EqualsNaiveFoldOverExecutedPartitions) {
+  workload::TextCorpusParams params;
+  params.posts = 600;
+  params.vocabulary = 300;
+  params.drift_segments = 4;
+  params.seed = 19;
+  const auto corpus = workload::generate_text_corpus("unit", params);
+  engine::Engine eng(eng_opts());
+  const auto ds = eng.parallelize(corpus.rows, 12);
+  for (double theta : {0.0, 0.25, 0.5}) {
+    const auto result = word_count(eng, ds, 8, theta);
+    const auto* map = stage_of(eng, engine::EngineStageKind::kMap);
+    ASSERT_NE(map, nullptr);
+    EXPECT_EQ(map->executed_partition_ids.size(),
+              12u - static_cast<std::size_t>(12 * theta + 0.5))
+        << "theta=" << theta;
+    WordCounts naive;
+    for (std::size_t p : map->executed_partition_ids) {
+      for (const auto& row : ds.partition(p)) {
+        for (const auto& word : workload::tokenize(workload::extract_post_body(row))) {
+          ++naive[word];
+        }
+      }
+    }
+    EXPECT_EQ(result.counts, naive) << "theta=" << theta;
+  }
+}
+
+TEST(WordCountTest, MapShipsEachWordOncePerPartition) {
+  workload::TextCorpusParams params;
+  params.posts = 500;
+  params.vocabulary = 150;
+  params.seed = 23;
+  const auto corpus = workload::generate_text_corpus("unit", params);
+  engine::Engine eng(eng_opts());
+  const auto ds = eng.parallelize(corpus.rows, 10);
+  std::size_t distinct_per_partition = 0;
+  std::size_t tokens = 0;
+  for (std::size_t p = 0; p < ds.partitions(); ++p) {
+    std::set<std::string> words;
+    for (const auto& row : ds.partition(p)) {
+      for (auto& word : workload::tokenize(workload::extract_post_body(row))) {
+        words.insert(std::move(word));
+        ++tokens;
+      }
+    }
+    distinct_per_partition += words.size();
+  }
+  ASSERT_LT(distinct_per_partition, tokens);  // words repeat within partitions
+
+  const auto result = word_count(eng, ds, 8, 0.0);
+  EXPECT_EQ(result.counts, exact_word_count(corpus.rows));
+  // With every count right, one record per distinct word per partition
+  // means no word reached the shuffle twice from the same map task; the
+  // shuffle ships those records raw (combine ratio 1).
+  const auto* write = stage_of(eng, engine::EngineStageKind::kShuffleWrite);
+  ASSERT_NE(write, nullptr);
+  EXPECT_EQ(write->shuffle_records_in, distinct_per_partition);
+  EXPECT_EQ(write->shuffle_records_out, distinct_per_partition);
 }
 
 TEST(WordCountErrorTest, MissingWordsCountAsZero) {
