@@ -61,8 +61,8 @@ std::vector<Workload> workloads(const BenchMode& mode) {
   return {
       {"uniform", mode.scale(std::size_t{1} << 20), std::size_t{1} << 14, 0.0, 7},
       {"zipf", mode.scale(std::size_t{1} << 20), std::size_t{1} << 14, 1.3, 11},
-      // Tiny stays tiny in quick mode: its whole point is the
-      // single-thread route under the small-shuffle threshold.
+      // Tiny stays tiny in quick mode: its whole point is the width-1
+      // route under the small-shuffle threshold.
       {"tiny", 4096, 64, 0.0, 13},
       // High-cardinality: most keys occur once, so the combiner is pure
       // overhead and the width has to come from shipped volume.
@@ -89,7 +89,7 @@ std::vector<Record> make_records(const Workload& w) {
 
 // Partition-layout-independent canonical form: the determinism oracle is
 // the sorted (key, value) multiset, so legitimate relocations (partition
-// width, single-thread route) compare equal while any dropped, duplicated
+// width, width-1 route) compare equal while any dropped, duplicated
 // or misfolded record shows up as a mismatch.
 std::vector<Record> canonical(const engine::Dataset<Record>& ds) {
   std::vector<Record> flat;

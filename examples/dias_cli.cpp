@@ -79,7 +79,7 @@ void usage(const char* prog) {
       "                                (default: a throwaway dir under /tmp)\n"
       "  --adaptive-plan               let an AdaptivePlanner read the engine's own\n"
       "                                metrics and re-plan each stage (combiner,\n"
-      "                                partition width, single-thread route) over\n"
+      "                                partition width, speculation) over\n"
       "                                three rounds; prints the per-stage decisions\n"
       "runtime sprinting (elastic pool + sprint governor on the real engine):\n"
       "  --runtime-sprint              run bursty two-class traffic through the\n"
@@ -242,10 +242,8 @@ int run_engine_wordcount(double theta, std::size_t rows, std::size_t partitions,
           const obs::Gauge* g = registry->find_gauge(prefix + knob);
           return g == nullptr ? -1.0 : g->value();
         };
-        std::printf("    %-14s combine=%+.0f single_thread=%.0f partitions=%.0f "
-                    "speculate=%+.0f\n",
-                    stage, gauge("combine"), gauge("single_thread"), gauge("partitions"),
-                    gauge("speculate"));
+        std::printf("    %-14s combine=%+.0f partitions=%.0f speculate=%+.0f\n", stage,
+                    gauge("combine"), gauge("partitions"), gauge("speculate"));
       }
     }
   }

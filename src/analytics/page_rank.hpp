@@ -40,7 +40,7 @@ struct PageRankOptions {
   // shuffle, so adapting it would break bitwise reproducibility. The sum
   // stages are double additions — order-sensitive — so their traits leave
   // order_insensitive false and the planner may only relocate work
-  // (partitions / single-thread / speculation / spill), never reorder it.
+  // (partitions / speculation / spill), never reorder it.
   engine::PlanSource* planner = nullptr;
 };
 

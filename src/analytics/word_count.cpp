@@ -24,7 +24,6 @@ WordCountResult word_count(engine::Engine& eng, const engine::Dataset<std::strin
     engine::StageTraits traits;
     traits.name = "wordcount/map";
     traits.allow_repartition = false;
-    traits.allow_single_thread = false;
     traits.allow_spill_hint = false;
     map_opts.plan = planner->plan_for(traits);
   }

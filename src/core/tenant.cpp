@@ -10,25 +10,6 @@ namespace {
 
 constexpr double kLn2 = 0.6931471805599453;
 
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-std::size_t stripe_index(TenantId tenant, std::size_t mask) {
-  // Fibonacci hash: tenant ids are often small consecutive integers, and
-  // the high multiplier bits spread them evenly across stripes.
-  const std::uint64_t h = tenant.value * 0x9E3779B97F4A7C15ull;
-  return static_cast<std::size_t>(h >> 32) & mask;
-}
-
-void atomic_add(std::atomic<double>& target, double delta) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(cur, cur + delta, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 const char* to_string(TenantAction action) {
@@ -52,41 +33,35 @@ FairShareLedger::FairShareLedger(FairShareOptions options)
                    options_.shed_ratio >= options_.deprioritize_ratio,
                "ladder ratios must satisfy 1 <= deprioritize <= shed");
   DIAS_EXPECTS(options_.default_weight > 0.0, "default weight must be positive");
-  DIAS_EXPECTS(options_.stripes >= 1, "ledger needs at least one stripe");
   tau_s_ = options_.usage_halflife_s / kLn2;
-  const std::size_t n = round_up_pow2(options_.stripes);
-  stripes_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) stripes_.push_back(std::make_unique<Stripe>());
-  stripe_mask_ = n - 1;
 }
 
-FairShareLedger::Stripe& FairShareLedger::stripe_for(TenantId tenant) const {
-  return *stripes_[stripe_index(tenant, stripe_mask_)];
-}
-
-FairShareLedger::TenantState& FairShareLedger::get_or_create_locked(Stripe& stripe,
-                                                                    TenantId tenant,
+FairShareLedger::TenantState& FairShareLedger::get_or_create_locked(TenantId tenant,
                                                                     double now_s) {
-  auto [it, inserted] = stripe.tenants.try_emplace(tenant.value);
+  auto [it, inserted] = tenants_.try_emplace(tenant.value);
   if (inserted) {
     it->second.weight = options_.default_weight;
     it->second.credits = options_.burst_credit_s;
     it->second.last_s = now_s;
-    tracked_.fetch_add(1, std::memory_order_relaxed);
   }
   return it->second;
 }
 
 double FairShareLedger::fair_rate(double weight) const {
-  const double total = total_active_weight_.load(std::memory_order_relaxed);
-  if (total <= weight) return options_.capacity_slots;  // alone (or nearly): full share
-  return options_.capacity_slots * weight / total;
+  std::lock_guard lock(mu_);
+  return fair_rate_locked(weight);
+}
+
+double FairShareLedger::fair_rate_locked(double weight) const {
+  // Alone (or nearly): full share.
+  if (total_active_weight_ <= weight) return options_.capacity_slots;
+  return options_.capacity_slots * weight / total_active_weight_;
 }
 
 void FairShareLedger::set_active_locked(TenantState& state, bool active) {
   if (state.active == active) return;
   state.active = active;
-  atomic_add(total_active_weight_, active ? state.weight : -state.weight);
+  total_active_weight_ += active ? state.weight : -state.weight;
 }
 
 void FairShareLedger::refresh_locked(TenantState& state, double now_s) {
@@ -94,7 +69,7 @@ void FairShareLedger::refresh_locked(TenantState& state, double now_s) {
   if (dt <= 0.0) return;
   state.usage *= std::exp(-dt / tau_s_);
   const double rate = state.usage / tau_s_;
-  const double fair = fair_rate(state.weight);
+  const double fair = fair_rate_locked(state.weight);
   if (rate > fair) {
     // Spending the burst: charge the excess slot-time over the interval.
     state.credits = std::max(0.0, state.credits - (rate - fair) * dt);
@@ -111,7 +86,7 @@ void FairShareLedger::project(const TenantState& state, double now_s, double& ra
   const double dt = std::max(0.0, now_s - state.last_s);
   const double usage = state.usage * std::exp(-dt / tau_s_);
   rate = usage / tau_s_;
-  const double fair = fair_rate(state.weight);
+  const double fair = fair_rate_locked(state.weight);
   credits = rate > fair
                 ? std::max(0.0, state.credits - (rate - fair) * dt)
                 : std::min(options_.burst_credit_s,
@@ -119,7 +94,7 @@ void FairShareLedger::project(const TenantState& state, double now_s, double& ra
 }
 
 TenantAction FairShareLedger::ladder(double rate, double credits, double weight) const {
-  const double fair = fair_rate(weight);
+  const double fair = fair_rate_locked(weight);
   if (rate <= fair) return TenantAction::kNone;
   if (credits > 0.0) return TenantAction::kBurst;
   if (rate > options_.shed_ratio * fair) return TenantAction::kShed;
@@ -130,20 +105,16 @@ TenantAction FairShareLedger::ladder(double rate, double credits, double weight)
 void FairShareLedger::set_weight(TenantId tenant, double weight) {
   DIAS_EXPECTS(tenant.has_value(), "tenant id 0 is reserved for 'no tenant'");
   DIAS_EXPECTS(weight > 0.0, "tenant weight must be positive");
-  Stripe& stripe = stripe_for(tenant);
-  std::lock_guard lock(stripe.mutex);
-  TenantState& state = get_or_create_locked(stripe, tenant, 0.0);
-  if (state.active) {
-    atomic_add(total_active_weight_, weight - state.weight);
-  }
+  std::lock_guard lock(mu_);
+  TenantState& state = get_or_create_locked(tenant, 0.0);
+  if (state.active) total_active_weight_ += weight - state.weight;
   state.weight = weight;
 }
 
 TenantAction FairShareLedger::on_submit(TenantId tenant, double now_s) {
   DIAS_EXPECTS(tenant.has_value(), "tenant id 0 is reserved for 'no tenant'");
-  Stripe& stripe = stripe_for(tenant);
-  std::lock_guard lock(stripe.mutex);
-  TenantState& state = get_or_create_locked(stripe, tenant, now_s);
+  std::lock_guard lock(mu_);
+  TenantState& state = get_or_create_locked(tenant, now_s);
   refresh_locked(state, now_s);
   return ladder(state.usage / tau_s_, state.credits, state.weight);
 }
@@ -151,9 +122,8 @@ TenantAction FairShareLedger::on_submit(TenantId tenant, double now_s) {
 void FairShareLedger::note_completion(TenantId tenant, double service_s, double now_s) {
   DIAS_EXPECTS(tenant.has_value(), "tenant id 0 is reserved for 'no tenant'");
   DIAS_EXPECTS(service_s >= 0.0, "service time must be >= 0");
-  Stripe& stripe = stripe_for(tenant);
-  std::lock_guard lock(stripe.mutex);
-  TenantState& state = get_or_create_locked(stripe, tenant, now_s);
+  std::lock_guard lock(mu_);
+  TenantState& state = get_or_create_locked(tenant, now_s);
   refresh_locked(state, now_s);
   state.usage += service_s;
   set_active_locked(state,
@@ -164,17 +134,15 @@ void FairShareLedger::note_completion(TenantId tenant, double service_s, double 
 FairShareLedger::Summary FairShareLedger::summary(double now_s) const {
   Summary out;
   std::vector<double> shares;  // usage_rate / weight of active tenants
-  for (const auto& stripe : stripes_) {
-    std::lock_guard lock(stripe->mutex);
-    out.tracked += stripe->tenants.size();
-    for (const auto& [id, state] : stripe->tenants) {
-      double rate = 0.0, credits = 0.0;
-      project(state, now_s, rate, credits);
-      if (rate <= options_.activity_floor * options_.capacity_slots) continue;
-      ++out.active;
-      shares.push_back(rate / state.weight);
-      if (rate > fair_rate(state.weight) && credits <= 0.0) ++out.over_quota;
-    }
+  std::lock_guard lock(mu_);
+  out.tracked = tenants_.size();
+  for (const auto& [id, state] : tenants_) {
+    double rate = 0.0, credits = 0.0;
+    project(state, now_s, rate, credits);
+    if (rate <= options_.activity_floor * options_.capacity_slots) continue;
+    ++out.active;
+    shares.push_back(rate / state.weight);
+    if (rate > fair_rate_locked(state.weight) && credits <= 0.0) ++out.over_quota;
   }
   out.fairness_index = jain_index(shares);
   return out;
@@ -182,16 +150,15 @@ FairShareLedger::Summary FairShareLedger::summary(double now_s) const {
 
 std::vector<FairShareLedger::TenantStat> FairShareLedger::stats(double now_s) const {
   std::vector<TenantStat> out;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard lock(stripe->mutex);
-    for (const auto& [id, state] : stripe->tenants) {
-      TenantStat stat;
-      stat.tenant = TenantId{id};
-      stat.weight = state.weight;
-      project(state, now_s, stat.usage_rate, stat.credits_s);
-      stat.level = ladder(stat.usage_rate, stat.credits_s, state.weight);
-      out.push_back(stat);
-    }
+  std::lock_guard lock(mu_);
+  out.reserve(tenants_.size());
+  for (const auto& [id, state] : tenants_) {
+    TenantStat stat;
+    stat.tenant = TenantId{id};
+    stat.weight = state.weight;
+    project(state, now_s, stat.usage_rate, stat.credits_s);
+    stat.level = ladder(stat.usage_rate, stat.credits_s, state.weight);
+    out.push_back(stat);
   }
   return out;
 }

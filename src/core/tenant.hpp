@@ -18,18 +18,16 @@
 //   kDeprioritize -> the job is queued behind its class's compliant work;
 //   kShed         -> the job is turned away with a terminal kShed record.
 //
-// Thread-safety: tenant state lives in hash-striped buckets, each with its
-// own mutex, so 10k tenants submitting from many threads never serialize
-// on one lock. Aggregate state (total active weight) is a lock-free
-// atomic. All clock inputs are caller-provided seconds (the dispatcher
-// passes its epoch-relative now_s()), which keeps the ledger deterministic
-// under test.
+// Thread-safety: one mutex guards the tenant table and the total active
+// weight. The ledger keeps its own lock (the dispatcher consults it
+// outside its own mutex, and callers may set weights through
+// tenant_ledger() while jobs run). All clock inputs are caller-provided
+// seconds (the dispatcher passes its epoch-relative now_s()), which keeps
+// the ledger deterministic under test.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
@@ -77,8 +75,6 @@ struct FairShareOptions {
   double activity_floor = 1e-4;
   // Weight assigned to tenants never seen by set_weight().
   double default_weight = 1.0;
-  // Lock stripes for the tenant table (rounded up to a power of two).
-  std::size_t stripes = 64;
 };
 
 class FairShareLedger {
@@ -91,8 +87,7 @@ class FairShareLedger {
   void set_weight(TenantId tenant, double weight);
 
   // Admission-time consult: refreshes decay and credits, then returns the
-  // ladder action for a job arriving now. Never blocks beyond one stripe
-  // mutex. tenant must have a value.
+  // ladder action for a job arriving now. tenant must have a value.
   TenantAction on_submit(TenantId tenant, double now_s);
 
   // Charges `service_s` consumed slot-seconds to the tenant.
@@ -114,7 +109,7 @@ class FairShareLedger {
     double fairness_index = 1.0;
   };
 
-  // Aggregate view (walks every stripe; intended for sampler cadence, not
+  // Aggregate view (walks every tenant; intended for sampler cadence, not
   // per-submit). Non-mutating: decay is applied to the *returned* values
   // only, so a summary never perturbs credit accounting.
   Summary summary(double now_s) const;
@@ -138,13 +133,8 @@ class FairShareLedger {
     double last_s = 0.0;
     bool active = false;
   };
-  struct alignas(64) Stripe {
-    mutable std::mutex mutex;
-    std::unordered_map<std::uint64_t, TenantState> tenants;
-  };
-
-  Stripe& stripe_for(TenantId tenant) const;
-  TenantState& get_or_create_locked(Stripe& stripe, TenantId tenant, double now_s);
+  TenantState& get_or_create_locked(TenantId tenant, double now_s);
+  double fair_rate_locked(double weight) const;
   // Applies decay + credit charge/refill for the interval since last_s.
   void refresh_locked(TenantState& state, double now_s);
   // Rate/credits as refresh_locked would leave them, without mutating.
@@ -155,10 +145,9 @@ class FairShareLedger {
 
   FairShareOptions options_;
   double tau_s_ = 1.0;  // usage mean lifetime = halflife / ln2
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::size_t stripe_mask_ = 0;
-  std::atomic<double> total_active_weight_{0.0};
-  std::atomic<std::size_t> tracked_{0};
+  mutable std::mutex mu_;
+  std::unordered_map<std::uint64_t, TenantState> tenants_;  // guarded by mu_
+  double total_active_weight_ = 0.0;                         // guarded by mu_
 };
 
 }  // namespace dias::core

@@ -17,11 +17,6 @@ namespace dias::engine {
 
 namespace detail {
 
-std::atomic<std::uint64_t>& shuffle_fallback_locks() {
-  static std::atomic<std::uint64_t> count{0};
-  return count;
-}
-
 std::size_t default_shuffle_budget() {
   static const std::size_t budget = [] {
     const char* env = std::getenv("DIAS_SHUFFLE_BUDGET_BYTES");
@@ -45,8 +40,8 @@ std::string StagePlan::summary() const {
   };
   return "combine=" + tri(combine) +
          " parts=" + (partitions > 0 ? std::to_string(partitions) : std::string("-")) +
-         " st=" + std::string(single_thread ? "1" : "0") + " spec=" + tri(speculate) +
-         " buf=" + num(target_buffer_bytes) + " spill=" + num(spill_budget_bytes);
+         " spec=" + tri(speculate) + " buf=" + num(target_buffer_bytes) +
+         " spill=" + num(spill_budget_bytes);
 }
 
 const char* to_string(EngineStageKind kind) {
@@ -92,10 +87,6 @@ void Engine::attach_observability(obs::Registry* metrics, obs::Tracer* tracer) {
     obs_.shuffle_merge_stream_s =
         &metrics->histogram("engine.shuffle.merge_stream_s", 0.0, 10.0, 200);
     obs_.shuffle_merge_skew = &metrics->gauge("engine.shuffle.merge_skew");
-    // Handed to each shuffle's sink through its SpillPolicy, so the
-    // overflow lane bumps this engine's counter and no other; the raw
-    // shuffle_fallback_locks() atomic keeps counting regardless.
-    obs_.shuffle_fallback_locks = &metrics->counter("engine.shuffle.fallback_locks");
     obs_.spill_breaker_state = &metrics->gauge("engine.spill.breaker_state");
     obs_.spill_breaker_trips = &metrics->counter("engine.spill.breaker_trips");
     obs_.spill_write_failures = &metrics->counter("engine.spill.write_failures");
@@ -244,13 +235,7 @@ void Engine::apply_stage_plan(const StagePlan& plan, ShuffleOptions& shuffle,
     // Keep a sane floor so a degenerate plan cannot force per-record ships.
     shuffle.target_buffer_bytes = std::max<std::size_t>(*plan.target_buffer_bytes, 64);
   }
-  if (merge_theta <= 0.0) {
-    if (plan.single_thread) {
-      out_partitions = 1;
-    } else if (plan.partitions > 0) {
-      out_partitions = plan.partitions;
-    }
-  }
+  if (merge_theta <= 0.0 && plan.partitions > 0) out_partitions = plan.partitions;
   if (plan.spill_budget_bytes.has_value()) {
     const std::size_t budget = *plan.spill_budget_bytes;
     if (budget == 0) {

@@ -118,8 +118,8 @@ struct StageOptions {
   double drop_ratio_override = -1.0;
   // Adaptive execution overrides (ISSUE 8): when set, run_stage applies
   // the plan's speculation toggle and the shuffle entry points apply its
-  // combiner / partition / single-thread / buffer / spill knobs. Absent
-  // (the default), every path is byte-identical to the pre-plan engine.
+  // combiner / partition / buffer / spill knobs. Absent (the default),
+  // every path is byte-identical to the pre-plan engine.
   std::optional<StagePlan> plan;
 };
 
@@ -723,10 +723,9 @@ class Engine {
   // One bump-pointer arena per worker slot; shuffle write tasks allocate
   // their segment entry storage from their own slot's arena (single-owner,
   // no lock), and the chunks are recycled once per shuffle via
-  // ArenaEpochGuard. A slotless caller (kNoSlot) gets the heap through
-  // the null-arena allocator.
+  // ArenaEpochGuard. Only slotted pool workers run write tasks.
   detail::SegmentArena* slot_arena(std::size_t slot) {
-    if (slot >= arenas_.size()) return nullptr;
+    DIAS_EXPECTS(slot < arenas_.size(), "segment arena requested without a worker slot");
     return arenas_[slot].get();
   }
 
@@ -762,7 +761,6 @@ class Engine {
   template <typename Entry>
   detail::SpillPolicy make_spill_policy(const ShuffleOptions& shuffle) {
     detail::SpillPolicy policy;
-    policy.fallback_counter = obs_.shuffle_fallback_locks;
     policy.breaker = &spill_breaker_;
     const bool from_env = shuffle.memory_budget_bytes == ShuffleOptions::kBudgetFromEnv;
     const std::size_t budget =
@@ -831,8 +829,6 @@ class Engine {
     obs::HistogramMetric* shuffle_merge_stream_s = nullptr;
     // Last merge's max/mean bucket load ratio; the planner's skew input.
     obs::Gauge* shuffle_merge_skew = nullptr;
-    // Bumped by the sink's overflow lane; scoped per engine via SpillPolicy.
-    obs::Counter* shuffle_fallback_locks = nullptr;
     // Segment-arena telemetry, refreshed at each epoch reset.
     obs::Gauge* arena_chunks = nullptr;
     obs::Gauge* arena_reserved_bytes = nullptr;

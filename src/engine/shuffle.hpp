@@ -8,10 +8,10 @@
 //   Phase 1 (shuffle write, one task per input partition): each task
 //     appends hash-partitioned Segments into buffers owned by its worker
 //     slot (ThreadPool::current_slot()), so no two threads ever write the
-//     same vector. With ShuffleOptions::combine the task first folds its
-//     records through an open-addressing FlatMap (the map-side combiner),
-//     flushing to segments whenever the scratch exceeds
-//     target_buffer_bytes.
+//     same vector (stage bodies only run on slotted pool workers). With
+//     ShuffleOptions::combine the task first folds its records through an
+//     open-addressing FlatMap (the map-side combiner), flushing to
+//     segments whenever the scratch exceeds target_buffer_bytes.
 //
 //   Phase 2 (merge, one task per output bucket): each task walks that
 //     bucket's segments in (src partition, flush seq) order and merges
@@ -52,7 +52,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -110,13 +109,6 @@ struct ShuffleOptions {
 };
 
 namespace detail {
-
-// Mutex acquisitions taken by shuffle write paths since process start.
-// The hot path is lock-free by construction; only a writer with no worker
-// slot (a thread foreign to the engine's pool) falls back to the locked
-// overflow lane, and each such fall-back increments this counter. Tests
-// reset it and assert it stays 0 across full shuffles.
-std::atomic<std::uint64_t>& shuffle_fallback_locks();
 
 // Open-addressing (linear probing) hash map with insertion-ordered,
 // movable entry storage. No erase, power-of-two slot table, indices into a
@@ -204,8 +196,8 @@ struct ShuffleSegment {
   std::size_t src = 0;
   std::size_t seq = 0;
   // Arena-backed when the write task ran on a slot with a SegmentArena
-  // (heap-backed otherwise — default construction, the overflow lane);
-  // either way the bytes, boundaries and order are identical.
+  // (heap-backed otherwise, e.g. default construction); either way the
+  // bytes, boundaries and order are identical.
   EntryVec entries;
   std::uint64_t spill_id = 0;
   std::size_t spill_entries = 0;
@@ -260,17 +252,11 @@ void radix_split(std::vector<Entry>&& entries, std::size_t buckets, const Hasher
 }
 
 // Sink configuration resolved by the Engine for one shuffle: the
-// effective budget, the backend to spill through, and the registry
-// counter behind the overflow lane. Default-constructed means unbounded /
-// never spill / no counter.
+// effective budget and the backend to spill through. Default-constructed
+// means unbounded / never spill.
 struct SpillPolicy {
   std::size_t budget_bytes = 0;  // 0 = unbounded
   SpillBackend* backend = nullptr;
-  // Registry export for shuffle_fallback_locks() bumps, scoped to this
-  // sink so no engine ever pushes through another registry's (or a
-  // destroyed registry's) counter. The owning registry must outlive the
-  // shuffle — the same lifetime every other engine counter already has.
-  obs::Counter* fallback_counter = nullptr;
   // Circuit breaker governing spill WRITES; required whenever `backend`
   // is set. A failed or breaker-denied write keeps the segment resident
   // (spilling is pure relocation, so in-memory is always a sound
@@ -280,19 +266,16 @@ struct SpillPolicy {
 };
 
 // Collection point between the two phases. Writers append segments to
-// per-(slot, bucket) vectors without synchronization; a writer without a
-// slot takes the counted overflow mutex instead (never hit when stage
-// bodies run on the engine's own pool). Readers may only call
-// bucket_segments() / consume() after every writer finished (the stage
-// barrier).
+// per-(slot, bucket) vectors without synchronization; every writer must
+// hold a worker slot of the engine's pool (a slotless push is a
+// precondition error). Readers may only call bucket_segments() /
+// consume() after every writer finished (the stage barrier).
 //
 // With a finite SpillPolicy, each push updates a global resident-bytes
 // estimate; when it crosses the budget, the pushing slot encodes and
 // spills every resident segment it owns. Only the pushing slot's segments
 // are touched — no cross-slot access, so the write path stays
-// synchronization-free. The overflow lane is never accounted or spilled:
-// only foreign threads reach it, and the budget governs the engine's own
-// worker slots.
+// synchronization-free.
 template <typename K, typename A>
 class ShuffleSink {
  public:
@@ -301,7 +284,7 @@ class ShuffleSink {
   static constexpr bool kSpillable = is_spillable<Entry>::value;
 
   ShuffleSink(std::size_t slots, std::size_t buckets, SpillPolicy policy = {})
-      : policy_(policy), slots_(slots, SlotState(buckets)), overflow_(buckets) {
+      : policy_(policy), slots_(slots, SlotState(buckets)), buckets_(buckets) {
     DIAS_EXPECTS(policy.backend == nullptr || policy.breaker != nullptr,
                  "a spill backend needs a circuit breaker");
   }
@@ -326,23 +309,17 @@ class ShuffleSink {
   ShuffleSink(const ShuffleSink&) = delete;
   ShuffleSink& operator=(const ShuffleSink&) = delete;
 
-  std::size_t buckets() const { return overflow_.size(); }
+  std::size_t buckets() const { return buckets_; }
 
   void push(std::size_t slot, std::size_t bucket, Segment&& segment) {
-    DIAS_EXPECTS(bucket < overflow_.size(), "shuffle bucket out of range");
-    if (slot < slots_.size()) {
-      const std::size_t bytes = segment.entries.size() * sizeof(Entry);
-      auto& state = slots_[slot];
-      state.buckets[bucket].push_back(std::move(segment));
-      state.resident_bytes += bytes;
-      resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-      if (policy_.budget_bytes != 0) maybe_spill(slot);
-      return;
-    }
-    shuffle_fallback_locks().fetch_add(1, std::memory_order_relaxed);
-    if (policy_.fallback_counter != nullptr) policy_.fallback_counter->add();
-    std::lock_guard guard(overflow_mu_);
-    overflow_[bucket].push_back(std::move(segment));
+    DIAS_EXPECTS(slot < slots_.size(), "shuffle write from a thread without a worker slot");
+    DIAS_EXPECTS(bucket < buckets_, "shuffle bucket out of range");
+    const std::size_t bytes = segment.entries.size() * sizeof(Entry);
+    auto& state = slots_[slot];
+    state.buckets[bucket].push_back(std::move(segment));
+    state.resident_bytes += bytes;
+    resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    if (policy_.budget_bytes != 0) maybe_spill(slot);
   }
 
   // Write tasks report combiner-scratch growth/shrink here so scratch
@@ -351,7 +328,8 @@ class ShuffleSink {
   // through push() at target_buffer_bytes like always), so scratch bytes
   // influence *when* segments relocate but never *what* they contain.
   void adjust_scratch(std::size_t slot, std::ptrdiff_t delta) {
-    if (slot >= slots_.size() || delta == 0) return;
+    DIAS_EXPECTS(slot < slots_.size(), "shuffle write from a thread without a worker slot");
+    if (delta == 0) return;
     resident_bytes_.fetch_add(static_cast<std::size_t>(delta), std::memory_order_relaxed);
     if (delta > 0 && policy_.budget_bytes != 0) maybe_spill(slot);
   }
@@ -364,12 +342,11 @@ class ShuffleSink {
   // the input — so equal positions collapse to one copy (preferring a
   // resident one) instead of double-counting records.
   std::vector<Segment*> bucket_segments(std::size_t bucket) {
-    DIAS_EXPECTS(bucket < overflow_.size(), "shuffle bucket out of range");
+    DIAS_EXPECTS(bucket < buckets_, "shuffle bucket out of range");
     std::vector<Segment*> out;
     for (auto& state : slots_) {
       for (auto& segment : state.buckets[bucket]) out.push_back(&segment);
     }
-    for (auto& segment : overflow_[bucket]) out.push_back(&segment);
     std::sort(out.begin(), out.end(), [](const Segment* a, const Segment* b) {
       if (a->src != b->src) return a->src < b->src;
       if (a->seq != b->seq) return a->seq < b->seq;
@@ -455,7 +432,7 @@ class ShuffleSink {
   // tasks) keep their storage until the destructor.
   void commit_bucket(std::size_t bucket) {
     if (policy_.backend == nullptr) return;  // destructive consume already freed
-    DIAS_EXPECTS(bucket < overflow_.size(), "shuffle bucket out of range");
+    DIAS_EXPECTS(bucket < buckets_, "shuffle bucket out of range");
     auto commit = [this](Segment& segment) {
       if (segment.spilled) {
         try {
@@ -470,7 +447,6 @@ class ShuffleSink {
     for (auto& state : slots_) {
       for (auto& segment : state.buckets[bucket]) commit(segment);
     }
-    for (auto& segment : overflow_[bucket]) commit(segment);
   }
 
   std::size_t resident_bytes() const {
@@ -563,8 +539,7 @@ class ShuffleSink {
 
   SpillPolicy policy_;
   std::vector<SlotState> slots_;
-  std::mutex overflow_mu_;
-  std::vector<std::vector<Segment>> overflow_;  // [bucket], under overflow_mu_
+  std::size_t buckets_;
   // Estimated resident footprint: segment entry storage across all slots
   // plus reported combiner scratch. Relaxed is fine — the value only
   // decides when to relocate bytes, never what they are. Every slot's

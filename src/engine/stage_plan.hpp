@@ -11,15 +11,15 @@
 //
 // The determinism contract (see DESIGN.md §15): every knob a plan may set
 // must be content-preserving for the stage it is applied to. Relocating
-// work (partition counts, the single-thread route, spill budgets,
-// speculation) is always safe — per-key merge order is (src, seq), a pure
-// function of the *input* partitioning, so resizing the *output* side or
-// moving bytes through the spill backend cannot change a single result
-// bit. Reordering work (combiner on/off, combiner buffer size) changes
-// per-key accumulation order and is only bit-safe for order-insensitive
-// aggregations (integral sums and the like); planners must gate those two
-// knobs on StageTraits::order_insensitive, and the plan-determinism test
-// battery enforces the whole table.
+// work (partition counts, spill budgets, speculation) is always safe —
+// per-key merge order is (src, seq), a pure function of the *input*
+// partitioning, so resizing the *output* side or moving bytes through the
+// spill backend cannot change a single result bit. Reordering work
+// (combiner on/off, combiner buffer size) changes per-key accumulation
+// order and is only bit-safe for order-insensitive aggregations (integral
+// sums and the like); planners must gate those two knobs on
+// StageTraits::order_insensitive, and the plan-determinism test battery
+// enforces the whole table.
 #pragma once
 
 #include <cstddef>
@@ -35,15 +35,13 @@ struct StagePlan {
   // Map-side combiner on/off (ShuffleOptions::combine). Only bit-safe
   // when the aggregation is order-insensitive.
   std::optional<bool> combine;
-  // Replacement for the caller's out_partitions; 0 keeps the default.
-  // Ignored (and unsafe to apply) on droppable merge stages running with
-  // theta > 0, where the bucket count is part of the drop semantics —
+  // Replacement for the caller's out_partitions; 0 keeps the default,
+  // 1 routes the whole shuffle through one merge task (the win for
+  // shuffles far below the per-bucket overhead crossover). Ignored (and
+  // unsafe to apply) on droppable merge stages running with theta > 0,
+  // where the bucket count is part of the drop semantics —
   // Engine::combine_by_key skips it there.
   std::size_t partitions = 0;
-  // Route the whole shuffle through a single output bucket: one merge
-  // task, no parallel merge machinery. Wins for shuffles far below the
-  // per-bucket overhead crossover. Takes precedence over `partitions`.
-  bool single_thread = false;
   // Per-stage speculation toggle (overrides FaultToleranceOptions::
   // speculation for this stage only). Exactly-once body completion makes
   // this content-preserving by construction.
@@ -62,13 +60,12 @@ struct StagePlan {
   std::uint64_t decision_seq = 0;
 
   bool is_identity() const {
-    return !combine.has_value() && partitions == 0 && !single_thread &&
-           !speculate.has_value() && !target_buffer_bytes.has_value() &&
-           !spill_budget_bytes.has_value();
+    return !combine.has_value() && partitions == 0 && !speculate.has_value() &&
+           !target_buffer_bytes.has_value() && !spill_budget_bytes.has_value();
   }
 
   // Compact human-readable form for traces and CLI output, e.g.
-  // "combine=on parts=16 st=0 spec=off buf=- spill=-".
+  // "combine=on parts=16 spec=off buf=- spill=-".
   std::string summary() const;
 };
 
@@ -84,7 +81,6 @@ struct StageTraits {
   // buffer resize; floating-point reductions must leave this false.
   bool order_insensitive = false;
   bool allow_repartition = true;
-  bool allow_single_thread = true;
   bool allow_speculation = true;
   bool allow_spill_hint = true;
   // Optional hint: number of input partitions feeding the stage.

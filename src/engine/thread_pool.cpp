@@ -64,7 +64,7 @@ struct ThreadPool::Wave {
 };
 
 ThreadPool::ThreadPool(std::size_t workers, std::size_t reserve)
-    : base_(workers), active_limit_(workers), executed_(workers + reserve + 1) {
+    : base_(workers), active_limit_(workers), executed_(workers + reserve) {
   DIAS_EXPECTS(workers >= 1, "thread pool needs at least one worker");
   const std::size_t total = workers + reserve;
   threads_.reserve(total);

@@ -93,7 +93,7 @@ class ThreadPool {
   // worker of this pool it lends its own slot as a lane (so a nested
   // run_indexed can never deadlock a small pool); foreign callers never
   // execute bodies — stage bodies only ever run on slotted workers, which
-  // is what keeps the shuffle write path off the locked overflow lane.
+  // is what lets the shuffle write path index per-slot buffers lock-free.
   //
   // With a non-null `cancel`, every lane re-checks the token before
   // stealing its next index and bails once cancellation was requested —
@@ -158,9 +158,9 @@ class ThreadPool {
   // (lock order: mutex_ and metrics_mu_ are never nested).
   void publish_metrics_locked();
   void publish_metrics();
-  void note_executed(std::size_t slot, std::uint64_t n) {
-    executed_.add(slot == kNoSlot ? executed_.shards() - 1 : slot, n);
-  }
+  // Bodies only ever run on this pool's workers, so `slot` is always one
+  // of ours.
+  void note_executed(std::size_t slot, std::uint64_t n) { executed_.add(slot, n); }
 
   std::vector<std::thread> threads_;
   std::size_t base_ = 0;
@@ -171,8 +171,7 @@ class ThreadPool {
   bool stopping_ = false;
 
   // --- internal accounting (always on; registry-independent) -------------
-  // Per-slot executed-body cells, one cache line each (+1 shard for
-  // slotless callers, which exist only in tests poking submit wrappers).
+  // Per-slot executed-body cells, one cache line each.
   obs::ShardedCounter executed_;
   std::atomic<std::uint64_t> wave_seq_{0};  // chaos coordinate for pool.wave
   std::atomic<std::uint64_t> submitted_total_{0};

@@ -138,21 +138,11 @@ engine::StagePlan AdaptivePlanner::decide_locked(const PlannerMetricSnapshot& sn
     flip_locked(st, kCombine, st.combine, want);
   }
 
-  // Route: single-thread for tiny shuffles, else skew-indexed width. The
-  // two sub-knobs share one hold window so the route changes at most once
-  // per window.
-  if (signals_.have_shuffle) {
-    bool want_single = st.single_thread;
-    if (signals_.ewma_bytes <= static_cast<double>(config_.small_shuffle_low_bytes)) {
-      want_single = true;
-    } else if (signals_.ewma_bytes >=
-               static_cast<double>(config_.small_shuffle_high_bytes)) {
-      want_single = false;
-    }
-    if (!traits.allow_single_thread) want_single = false;
-
-    std::size_t want_parts = st.partitions;
-    if (traits.allow_repartition && config_.target_partition_bytes > 0) {
+  // Route: width 1 for small shuffles (sticky until the volume reaches
+  // the band's top), else the skew-indexed volume width.
+  if (traits.allow_repartition && signals_.have_shuffle) {
+    std::size_t want = 0;  // keep the default when the volume ladder is off
+    if (config_.target_partition_bytes > 0) {
       // Volume-proportional width (one bucket per target_partition_bytes
       // of shipped data), multiplied by the largest ladder rung the
       // smoothed skew has reached — the ~1.05 skew every finite sample
@@ -163,17 +153,14 @@ engine::StagePlan AdaptivePlanner::decide_locked(const PlannerMetricSnapshot& sn
       }
       const double demand =
           signals_.ewma_bytes / static_cast<double>(config_.target_partition_bytes) * rung;
-      want_parts = quantize_width(demand, config_.max_partitions);
+      want = quantize_width(demand, config_.max_partitions);
     }
-
-    if (want_single != st.single_thread || want_parts != st.partitions) {
-      const std::pair<bool, std::size_t> want{want_single, want_parts};
-      std::pair<bool, std::size_t> cur{st.single_thread, st.partitions};
-      if (flip_locked(st, kRoute, cur, want)) {
-        st.single_thread = cur.first;
-        st.partitions = cur.second;
-      }
-    }
+    const double bytes = signals_.ewma_bytes;
+    const bool small = st.partitions == 1
+                           ? bytes < static_cast<double>(config_.small_shuffle_high_bytes)
+                           : bytes <= static_cast<double>(config_.small_shuffle_low_bytes);
+    if (small) want = 1;
+    flip_locked(st, kRoute, st.partitions, want);
   }
 
   // Speculation: engage on a heavy task-time tail. Content-preserving by
@@ -203,11 +190,7 @@ engine::StagePlan AdaptivePlanner::decide_locked(const PlannerMetricSnapshot& sn
   engine::StagePlan plan;
   plan.decision_seq = ++decision_seq_;
   if (traits.order_insensitive) plan.combine = st.combine;
-  if (st.single_thread) {
-    plan.single_thread = true;
-  } else if (st.partitions != 0 && st.partitions != traits.default_partitions) {
-    plan.partitions = st.partitions;
-  }
+  if (st.partitions != traits.default_partitions) plan.partitions = st.partitions;
   if (traits.allow_speculation) plan.speculate = st.speculate;
   if (st.spill_hint) plan.spill_budget_bytes = config_.spill_budget_bytes;
   return plan;
@@ -230,11 +213,9 @@ void AdaptivePlanner::export_locked(const engine::StageTraits& traits,
   if (metrics_ != nullptr) {
     const std::string prefix = "planner." + traits.name + ".";
     metrics_->gauge(prefix + "combine").set(tri(plan.combine));
-    metrics_->gauge(prefix + "single_thread").set(plan.single_thread ? 1.0 : 0.0);
     metrics_->gauge(prefix + "partitions")
-        .set(static_cast<double>(plan.single_thread ? 1
-                                 : plan.partitions != 0 ? plan.partitions
-                                                        : traits.default_partitions));
+        .set(static_cast<double>(plan.partitions != 0 ? plan.partitions
+                                                      : traits.default_partitions));
     metrics_->gauge(prefix + "speculate").set(tri(plan.speculate));
     metrics_->gauge(prefix + "spill_budget")
         .set(static_cast<double>(plan.spill_budget_bytes.value_or(0)));
@@ -260,14 +241,17 @@ std::vector<engine::StagePlan> AdaptivePlanner::reachable_plans(
     combine_opts.push_back(false);
   }
 
-  // (single_thread, partitions) routes; partitions 0 = keep the default.
-  std::vector<std::pair<bool, std::size_t>> route_opts = {{false, 0}};
-  if (traits.allow_single_thread) route_opts.push_back({true, 0});
-  if (traits.allow_repartition && config.target_partition_bytes > 0) {
-    // Every power of two quantize_width() can produce.
-    for (std::size_t parts = 1;; parts *= 2) {
-      if (parts != traits.default_partitions) route_opts.push_back({false, parts});
-      if (parts * 2 > config.max_partitions) break;
+  // Partition widths; 0 = keep the default.
+  std::vector<std::size_t> route_opts = {0};
+  if (traits.allow_repartition) {
+    // Width 1 (the small-shuffle band) plus every power of two
+    // quantize_width() can produce when the volume ladder is on.
+    const std::size_t top = config.target_partition_bytes > 0
+                                ? quantize_width(static_cast<double>(config.max_partitions),
+                                                 config.max_partitions)
+                                : 1;
+    for (std::size_t parts = 1; parts <= top; parts *= 2) {
+      if (parts != traits.default_partitions) route_opts.push_back(parts);
     }
   }
 
@@ -285,12 +269,11 @@ std::vector<engine::StagePlan> AdaptivePlanner::reachable_plans(
   std::vector<engine::StagePlan> out;
   std::set<std::string> seen;
   for (const auto& combine : combine_opts) {
-    for (const auto& [single, parts] : route_opts) {
+    for (const std::size_t parts : route_opts) {
       for (const auto& spec : spec_opts) {
         for (const auto& spill : spill_opts) {
           engine::StagePlan plan;
           plan.combine = combine;
-          plan.single_thread = single;
           plan.partitions = parts;
           plan.speculate = spec;
           if (spill.has_value()) plan.spill_budget_bytes = *spill;

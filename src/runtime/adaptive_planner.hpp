@@ -10,7 +10,7 @@
 //   signal (EWMA-smoothed)          knob                    direction
 //   ------------------------------  ----------------------  -----------------
 //   records_out / records_in        combiner on/off         low ratio -> on
-//   shuffle bytes per stage         single-thread route     small -> 1 bucket
+//   shuffle bytes per stage         partition width         small -> 1 bucket
 //   shipped bytes x merge skew      partition width         volume -> wider
 //   task p95 / p50                  speculation             heavy tail -> on
 //   spill bytes delta               spill budget hint       spilling -> hint
@@ -77,8 +77,10 @@ struct AdaptivePlannerConfig {
   // its scratch flush churn — for nothing.
   double combine_enable_ratio = 0.5;
   double combine_disable_ratio = 0.75;
-  // Single-thread band on smoothed shuffle bytes per stage: below low the
-  // whole shuffle routes through one bucket; above high it parallelizes.
+  // Small-shuffle band on smoothed shuffle bytes per stage: at or below
+  // low the whole shuffle routes through one bucket (width 1); the width
+  // stays 1 until the volume reaches high, then follows the ladder below.
+  // Masked, like every width change, by StageTraits::allow_repartition.
   std::size_t small_shuffle_low_bytes = 64 * 1024;
   std::size_t small_shuffle_high_bytes = 256 * 1024;
   // Partition width follows *shipped* volume, widened under skew: the
@@ -163,7 +165,6 @@ class AdaptivePlanner : public engine::PlanSource {
   struct StageState {
     // Current knob positions. nullopt = not yet decided (stay static).
     std::optional<bool> combine;
-    bool single_thread = false;
     std::size_t partitions = 0;  // 0 = keep the stage default
     std::optional<bool> speculate;
     bool spill_hint = false;

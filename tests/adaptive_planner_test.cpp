@@ -89,20 +89,27 @@ TEST(AdaptivePlannerTest, OrderSensitiveStageNeverGetsCombinerKnob) {
 }
 
 TEST(AdaptivePlannerTest, SmallShufflesRouteSingleThreaded) {
-  AdaptivePlanner planner(nullptr, test_config());
-  const StageTraits traits = open_traits();
-  EXPECT_TRUE(planner.decide(snap(0.7, 500), traits).single_thread);
-  // Sticky inside the band...
-  EXPECT_TRUE(planner.decide(snap(0.7, 2000), traits).single_thread);
-  // ...and released above it.
-  EXPECT_FALSE(planner.decide(snap(0.7, 50000), traits).single_thread);
+  AdaptivePlannerConfig cfg = test_config();
+  // A 1 kB volume target would widen any shuffle above the band; the
+  // band alone holds the width at 1 until the volume reaches its top.
+  cfg.target_partition_bytes = 1000;
+  AdaptivePlanner planner(nullptr, cfg);
+  const StageTraits traits = open_traits();  // default width 4
+  EXPECT_EQ(planner.decide(snap(0.7, 500), traits).partitions, 1u);
+  // Sticky inside the band (the volume ladder alone would ask for 2)...
+  EXPECT_EQ(planner.decide(snap(0.7, 2000), traits).partitions, 1u);
+  // ...and released above it: 5 kB / 1 kB -> width 8.
+  EXPECT_EQ(planner.decide(snap(0.7, 5000), traits).partitions, 8u);
+  // Re-entering the band from above follows the volume ladder: 2 kB -> 2.
+  EXPECT_EQ(planner.decide(snap(0.7, 2000), traits).partitions, 2u);
 }
 
 TEST(AdaptivePlannerTest, SingleThreadMaskedByTraits) {
   AdaptivePlanner planner(nullptr, test_config());
   StageTraits traits = open_traits();
-  traits.allow_single_thread = false;
-  EXPECT_FALSE(planner.decide(snap(0.7, 10), traits).single_thread);
+  traits.allow_repartition = false;
+  const StagePlan plan = planner.decide(snap(0.7, 10), traits);
+  EXPECT_EQ(plan.partitions, 0u) << plan.summary();
 }
 
 TEST(AdaptivePlannerTest, PartitionWidthTracksShippedVolumeTimesSkewRung) {
@@ -119,7 +126,7 @@ TEST(AdaptivePlannerTest, PartitionWidthTracksShippedVolumeTimesSkewRung) {
   EXPECT_EQ(planner.decide(skewed(1.0, 175000), traits).partitions, 0u);
   EXPECT_EQ(planner.decide(skewed(1.8, 175000), traits).partitions, 0u);
   // Small shipped volume narrows below the default: demand 0.4 -> width 1
-  // (still a parallel map side — 20 kB is above the single-thread band).
+  // (from the volume ladder — 20 kB is above the small-shuffle band).
   EXPECT_EQ(planner.decide(skewed(1.0, 20000), traits).partitions, 1u);
   // Heavy skew multiplies the width: demand 3.5 * rung 4.0 -> 16.
   EXPECT_EQ(planner.decide(skewed(4.5, 175000), traits).partitions, 16u);
@@ -267,18 +274,32 @@ TEST(AdaptivePlannerTest, ReachablePlansRespectTraitMasks) {
   locked.default_partitions = 4;
   locked.order_insensitive = false;
   locked.allow_repartition = false;
-  locked.allow_single_thread = false;
   locked.allow_speculation = false;
   locked.allow_spill_hint = false;
   const auto plans = AdaptivePlanner::reachable_plans(cfg, locked);
   ASSERT_EQ(plans.size(), 1u);  // only the identity remains
   EXPECT_TRUE(plans[0].is_identity());
 
-  const auto open = AdaptivePlanner::reachable_plans(cfg, open_traits());
+  const StageTraits traits = open_traits();
+  const auto open = AdaptivePlanner::reachable_plans(cfg, traits);
   EXPECT_GT(open.size(), 10u);
   std::set<std::string> seen;
   for (const StagePlan& p : open) {
     EXPECT_TRUE(seen.insert(p.summary()).second) << "duplicate " << p.summary();
+  }
+  // No two reachable plans may configure the shuffle identically: the
+  // battery would sweep the same behaviour twice. The applied shuffle is
+  // the combiner, the output width (0 keeps the stage default), the
+  // speculation toggle, the buffer and the spill budget.
+  std::set<std::string> applied;
+  for (const StagePlan& p : open) {
+    std::ostringstream key;
+    key << (p.combine.has_value() ? int{*p.combine} : -1) << ' '
+        << (p.partitions != 0 ? p.partitions : traits.default_partitions) << ' '
+        << (p.speculate.has_value() ? int{*p.speculate} : -1) << ' '
+        << p.target_buffer_bytes.value_or(0) << ' ' << p.spill_budget_bytes.value_or(0);
+    EXPECT_TRUE(applied.insert(key.str()).second)
+        << "plan " << p.summary() << " applies the same shuffle as an earlier plan";
   }
 }
 
@@ -300,13 +321,12 @@ TEST(AdaptivePlannerTest, PlanForReadsSourceAndExportsDecisions) {
 
   const StagePlan plan = planner.plan_for(open_traits());
   EXPECT_EQ(plan.combine, std::optional<bool>(true));
-  EXPECT_TRUE(plan.single_thread);
+  EXPECT_EQ(plan.partitions, 1u);
   EXPECT_EQ(plan.decision_seq, 1u);
 
   EXPECT_EQ(exported.counter("planner.decisions").value(), 1u);
   EXPECT_GE(exported.counter("planner.switches").value(), 2u);
   EXPECT_DOUBLE_EQ(exported.gauge("planner.stage.combine").value(), 1.0);
-  EXPECT_DOUBLE_EQ(exported.gauge("planner.stage.single_thread").value(), 1.0);
   EXPECT_DOUBLE_EQ(exported.gauge("planner.stage.partitions").value(), 1.0);
   std::ostringstream jsonl;
   tracer.write_jsonl(jsonl);

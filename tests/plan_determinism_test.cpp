@@ -14,8 +14,8 @@
 //   * uint64 sums (order-insensitive): every knob including the combiner
 //     toggle must be identity-preserving;
 //   * double sums (order-sensitive): the planner masks combiner/buffer
-//     knobs, and the remaining *relocating* knobs (partitions,
-//     single-thread route, speculation, spill) must still be bit-exact,
+//     knobs, and the remaining *relocating* knobs (partition width,
+//     including width 1, speculation, spill) must still be bit-exact,
 //     because per-key merge order is (src, seq) — a function of the input
 //     partitioning only.
 //
@@ -272,13 +272,11 @@ TEST(PlanDeterminismTest, WordCountWithLivePlannerMatchesStaticExactly) {
     const auto adaptive_result =
         analytics::word_count(adaptive_eng, rows, 8, -1.0, {}, &planner);
     EXPECT_EQ(adaptive_result.counts, static_result.counts) << "round " << round;
-    const obs::Gauge* single = registry.find_gauge("planner.wordcount.single_thread");
     const obs::Gauge* parts = registry.find_gauge("planner.wordcount.partitions");
     const obs::Gauge* combine = registry.find_gauge("planner.wordcount.combine");
-    ASSERT_NE(single, nullptr);
     ASSERT_NE(parts, nullptr);
     ASSERT_NE(combine, nullptr);
-    if (single->value() == 1.0 || parts->value() != 8.0 || combine->value() != -1.0) {
+    if (parts->value() != 8.0 || combine->value() != -1.0) {
       saw_non_identity = true;
     }
   }

@@ -3,8 +3,8 @@
 // skew levels, partition counts and combine on/off, the shuffle must be
 // result-equivalent (as a sorted multiset) to a single-threaded reference
 // reduce — including under fault injection and theta > 0 on the reduce
-// side — must be bitwise deterministic run-to-run, and must never take a
-// mutex on the write path while running on the engine's own pool.
+// side — must be bitwise deterministic run-to-run, and must only ever be
+// written from the engine pool's slotted workers.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -263,12 +263,10 @@ TEST(ShufflePropertyTest, CombiningShrinksShuffledRecordsAndLogsStats) {
   eng.attach_observability(nullptr, nullptr);
 }
 
-// Regression for the per-element locking bug class: the shuffle write path
-// must not acquire any mutex when stage bodies run on the engine's own
-// pool (the only locked lane is the overflow fallback for foreign
-// threads, and it counts every acquisition).
-TEST(ShuffleWritePathTest, ZeroMutexAcquisitionsOnPoolThreads) {
-  detail::shuffle_fallback_locks().store(0);
+// A push without a worker slot is a precondition error, so this
+// reduce/group/distinct sweep launched from the driver thread throws if
+// any shuffle write runs off the pool's slotted workers.
+TEST(ShuffleWritePathTest, DriverThreadShufflesWriteOnlyFromWorkerSlots) {
   const auto records = make_records(71, 10000, 123, 2.0);
   Engine eng(engine_opts(71));
   const auto ds = eng.parallelize(records, 8);
@@ -276,27 +274,51 @@ TEST(ShuffleWritePathTest, ZeroMutexAcquisitionsOnPoolThreads) {
     ShuffleOptions shuffle;
     shuffle.combine = combine;
     shuffle.target_buffer_bytes = 1024;
-    eng.reduce_by_key(ds, [](std::int64_t a, std::int64_t b) { return a + b; }, 7, {},
-                      shuffle);
+    const auto reduced = eng.reduce_by_key(
+        ds, [](std::int64_t a, std::int64_t b) { return a + b; }, 7, {}, shuffle);
+    EXPECT_EQ(sorted_collect(reduced), reference_sums(records)) << "combine=" << combine;
   }
-  eng.group_by_key(ds, 5);
+  EXPECT_NO_THROW(eng.group_by_key(ds, 5));
   std::vector<std::uint64_t> keys;
   for (const auto& [k, v] : records) keys.push_back(k % 64);
-  eng.distinct(eng.parallelize(std::move(keys), 6), 4);
-  EXPECT_EQ(detail::shuffle_fallback_locks().load(), 0u);
+  EXPECT_EQ(eng.distinct(eng.parallelize(std::move(keys), 6), 4).collect().size(), 64u);
 }
 
-TEST(ShuffleSinkTest, ForeignThreadTakesCountedFallbackLock) {
+// A stage body of one engine may drive a whole shuffle on another engine:
+// the body's thread is foreign to engine B's pool, so it only waits while
+// B's own slotted workers run both shuffle phases.
+TEST(ShuffleWritePathTest, ShuffleLaunchedFromAnotherEnginesStageMatchesReference) {
+  const auto records = make_records(72, 6000, 97, 1.0);
+  const auto expected = reference_sums(records);
+  Engine outer(engine_opts(72));
+  const auto seeds = outer.parallelize(std::vector<int>{0, 1}, 2);
+  const auto results = outer.map_partitions(seeds, [&](const std::vector<int>& part) {
+    std::vector<std::vector<KV>> out;
+    for (const int i : part) {
+      Engine inner(engine_opts(100 + static_cast<std::uint64_t>(i)));
+      const auto ds = inner.parallelize(records, 5);
+      out.push_back(sorted_collect(inner.reduce_by_key(
+          ds, [](std::int64_t a, std::int64_t b) { return a + b; }, 3)));
+    }
+    return out;
+  });
+  const auto collected = results.collect();
+  ASSERT_EQ(collected.size(), 2u);
+  for (const auto& sums : collected) EXPECT_EQ(sums, expected);
+}
+
+TEST(ShuffleSinkTest, SlotlessWriterIsPreconditionError) {
   detail::ShuffleSink<int, int> sink(2, 3);
-  const auto before = detail::shuffle_fallback_locks().load();
-  // Slot-less writer (e.g. the driver thread): lands in the overflow lane.
-  sink.push(ThreadPool::kNoSlot, 1, {0, 0, {{5, 1}}});
-  EXPECT_EQ(detail::shuffle_fallback_locks().load(), before + 1);
-  // Slotted writers stay lock-free.
+  // A writer without a worker slot (e.g. the driver thread) is rejected
+  // before it touches any buffer.
+  EXPECT_THROW(sink.push(ThreadPool::kNoSlot, 1, {0, 0, {{5, 1}}}), precondition_error);
+  EXPECT_THROW(sink.push(2, 1, {0, 0, {{5, 1}}}), precondition_error);
+  EXPECT_THROW(sink.adjust_scratch(ThreadPool::kNoSlot, 64), precondition_error);
+  // Slotted writers land in their own buffers; bucket_segments merges the
+  // slots in src order.
   sink.push(0, 1, {2, 0, {{6, 1}}});
   sink.push(1, 1, {1, 0, {{7, 1}}});
-  EXPECT_EQ(detail::shuffle_fallback_locks().load(), before + 1);
-  // bucket_segments interleaves overflow and slot segments in src order.
+  sink.push(1, 1, {0, 0, {{5, 1}}});
   const auto segments = sink.bucket_segments(1);
   ASSERT_EQ(segments.size(), 3u);
   EXPECT_EQ(segments[0]->src, 0u);

@@ -280,34 +280,24 @@ TEST(ShuffleSpillPropertyTest, SpillCodecRoundTripsStringsAndVectors) {
   EXPECT_EQ(decoded, entries);
 }
 
-// Satellite 4 regression: the overflow-lane fallback counter is visible in
-// metrics snapshots once an engine attaches a registry, not only through
-// the process-global atomic. The counter is scoped per sink through
-// SpillPolicy (no process-global hook), so the sink here carries it the
-// same way Engine::make_spill_policy wires it for real shuffles.
-TEST(ShuffleSpillPropertyTest, FallbackLockCounterExportedThroughRegistry) {
-  obs::Registry registry;
-  Engine eng(engine_opts(2, 8));
-  eng.attach_observability(&registry, nullptr);
-
+// Budget accounting covers worker slots only, so under a finite spill
+// policy a push or scratch report without a worker slot is a
+// precondition error, never an unaccounted write.
+TEST(ShuffleSpillPropertyTest, SlotlessWriterUnderBudgetIsPreconditionError) {
+  MemorySpill spill;
+  SpillBreaker breaker;
   detail::SpillPolicy policy;
-  policy.fallback_counter = &registry.counter("engine.shuffle.fallback_locks");
+  policy.budget_bytes = 64;
+  policy.backend = &spill;
+  policy.breaker = &breaker;
   detail::ShuffleSink<int, int> sink(2, 3, policy);
-  const auto before = detail::shuffle_fallback_locks().load();
-  // Slot-less writer (the driver thread) takes the counted fallback lock.
-  sink.push(ThreadPool::kNoSlot, 1, {0, 0, {{5, 1}}});
-  EXPECT_EQ(detail::shuffle_fallback_locks().load(), before + 1);
-
-  const auto snap = registry.snapshot();
-  bool found = false;
-  for (const auto& c : snap.counters) {
-    if (c.name == "engine.shuffle.fallback_locks") {
-      found = true;
-      EXPECT_GE(c.value, 1u);
-    }
-  }
-  EXPECT_TRUE(found) << "engine.shuffle.fallback_locks missing from snapshot";
-  eng.attach_observability(nullptr, nullptr);
+  EXPECT_THROW(sink.push(ThreadPool::kNoSlot, 1, {0, 0, {{5, 1}}}), precondition_error);
+  EXPECT_THROW(sink.adjust_scratch(ThreadPool::kNoSlot, 128), precondition_error);
+  EXPECT_EQ(sink.resident_bytes(), 0u);
+  EXPECT_EQ(sink.spilled_segments(), 0u);
+  // The same writes from a worker slot are accounted.
+  sink.push(0, 1, {0, 0, {{5, 1}}});
+  EXPECT_EQ(sink.resident_bytes(), sizeof(std::pair<int, int>));
 }
 
 // REVIEW fix regression: a process-wide DIAS_SHUFFLE_BUDGET_BYTES (the

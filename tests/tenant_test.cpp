@@ -154,18 +154,14 @@ TEST(TenantTest, Validation) {
                dias::precondition_error);
   EXPECT_THROW(construct_ledger([](FairShareOptions& o) { o.shed_ratio = 1.5; }),
                dias::precondition_error);
-  EXPECT_THROW(construct_ledger([](FairShareOptions& o) { o.stripes = 0; }),
-               dias::precondition_error);
   FairShareLedger ledger(strict_options());
   EXPECT_THROW(ledger.on_submit(TenantId{}, 0.0), dias::precondition_error);
   EXPECT_THROW(ledger.set_weight(TenantId{1}, 0.0), dias::precondition_error);
   EXPECT_THROW(ledger.note_completion(TenantId{1}, -1.0, 0.0), dias::precondition_error);
 }
 
-TEST(TenantTest, StripedTableHandlesConcurrentTenants) {
-  FairShareOptions opts = strict_options();
-  opts.stripes = 8;
-  FairShareLedger ledger(opts);
+TEST(TenantTest, OneLockTableHandlesConcurrentTenants) {
+  FairShareLedger ledger(strict_options());
   constexpr int kThreads = 8;
   constexpr int kTenantsPerThread = 250;
   std::vector<std::thread> threads;
