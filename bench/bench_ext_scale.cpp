@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench/scenarios.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "engine/engine.hpp"
 #include "obs/json.hpp"
@@ -58,12 +59,9 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> make_records(std::size_t n)
 // FNV-1a over sorted (key, sum) pairs: one canonical digest per run,
 // cheap to compare across the sweep cells.
 std::uint64_t digest(const std::vector<std::pair<std::uint64_t, std::uint64_t>>& entries) {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kFnvOffset;
   const auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= 1099511628211ull;
-    }
+    h = fnv1a({reinterpret_cast<const char*>(&v), sizeof(v)}, h);
   };
   mix(entries.size());
   for (const auto& [k, v] : entries) {

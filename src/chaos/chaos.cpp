@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/hash.hpp"
+
 namespace dias::chaos {
 
 const char* to_string(Shape shape) {
@@ -20,29 +22,13 @@ const char* to_string(Shape shape) {
 
 namespace detail {
 
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 double uniform_draw(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
                     std::uint64_t c, std::uint64_t salt) {
-  std::uint64_t h = mix(seed + salt);
-  h = mix(h ^ a);
-  h = mix(h ^ b);
-  h = mix(h ^ c);
+  std::uint64_t h = splitmix64(seed + salt);
+  h = splitmix64(h ^ a);
+  h = splitmix64(h ^ b);
+  h = splitmix64(h ^ c);
   return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char ch : s) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 }  // namespace detail
@@ -155,7 +141,7 @@ ChaosSchedule ChaosSchedule::from_env() {
 }
 
 InjectionPoint::InjectionPoint(std::string name)
-    : name_(std::move(name)), name_hash_(detail::fnv1a(name_)) {}
+    : name_(std::move(name)), name_hash_(fnv1a(name_)) {}
 
 void InjectionPoint::arm(std::uint64_t seed, const PointSpec& spec) {
   seed_.store(seed, std::memory_order_relaxed);

@@ -239,17 +239,11 @@ inline constexpr const char* kArenaAlloc = "engine.arena.alloc";
 
 namespace detail {
 
-// splitmix64 finalizer — the decision core behind every chaos decision
-// and the engine's retry-backoff jitter.
-std::uint64_t mix(std::uint64_t x);
-
-// Independent uniform in [0, 1) per coordinate tuple (top 53 bits, the
-// Rng's conversion).
+// Independent uniform in [0, 1) per coordinate tuple: splitmix64 chained
+// over the coordinates (top 53 bits, the Rng's conversion). The decision
+// core behind every chaos decision and the engine's retry-backoff jitter.
 double uniform_draw(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
                     std::uint64_t c, std::uint64_t salt);
-
-// FNV-1a over a string — stable point-name hashing for the decision key.
-std::uint64_t fnv1a(std::string_view s);
 
 }  // namespace detail
 

@@ -84,7 +84,7 @@ struct ClusterSimulator::Impl {
   sim::EventId sprint_timer{};               // pending sprint-start
   sim::EventId sprint_end_timer{};           // pending budget depletion
   bool job_sprinting = false;
-  SprintBudget budget;
+  runtime::EnergyBudget budget;
 
   // --- accounting ---------------------------------------------------------
   double segment_start = 0.0;  // start of the current busy/idle power segment
@@ -97,8 +97,9 @@ struct ClusterSimulator::Impl {
       : config(std::move(cfg)),
         trace(std::move(tr)),
         rng(config.seed),
-        budget(config.sprint, 0.0) {
+        budget(config.sprint.energy_config(), 0.0) {
     DIAS_EXPECTS(config.slots >= 1, "cluster needs at least one slot");
+    DIAS_EXPECTS(config.sprint.speedup >= 1.0, "sprint speedup must be >= 1");
     DIAS_EXPECTS(config.slot_speed_factors.empty() ||
                      config.slot_speed_factors.size() ==
                          static_cast<std::size_t>(config.slots),

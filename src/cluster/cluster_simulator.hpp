@@ -11,7 +11,8 @@
 //                      the work done so far (the production baseline P).
 // Differential approximation applies the per-class drop ratio theta_k to
 // droppable stages at dispatch; sprinting accelerates a job after its class
-// timeout Tk, subject to the energy budget (see SprintBudget). An energy
+// timeout Tk, subject to the energy budget (a runtime::EnergyBudget built
+// from SprintConfig::energy_config(), fed simulation time). An energy
 // meter integrates base/sprint/idle power over the run.
 #pragma once
 

@@ -1,22 +1,20 @@
-// Computational sprinter: DVFS budget accounting (paper Sections 2.3, 3.2).
+// Computational sprinter configuration (paper Sections 2.3, 3.2).
 //
-// The sprinter owns an energy budget (Joules). While a job sprints, the
+// Sprinting spends an energy budget (Joules). While a job sprints, the
 // budget drains at the *extra* power drawn by the high frequency
 // (sprint_power - base_power); while idle it replenishes at a configured
 // rate up to a cap (e.g. "6 sprinting minutes per hour"). A job sprints
 // from its class timeout Tk until it completes or the budget depletes.
 //
-// The accounting itself lives in runtime::EnergyBudget — one policy shared
-// with the real-engine SprintGovernor — and SprintBudget is the simulation
-// host: it keeps the sim-facing API and feeds simulation time through.
+// The accounting itself is runtime::EnergyBudget, the one policy shared
+// with the real-engine SprintGovernor; the simulator holds one built from
+// SprintConfig::energy_config() and feeds it simulation time.
 #pragma once
 
 #include <limits>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "runtime/energy_budget.hpp"
-#include "sim/simulator.hpp"
 
 namespace dias::cluster {
 
@@ -67,39 +65,6 @@ struct SprintConfig {
     e.budget_cap_joules = budget_cap_joules;
     return e;
   }
-};
-
-// Simulation-time facade over the shared runtime::EnergyBudget policy; see
-// that class for the accounting semantics.
-class SprintBudget {
- public:
-  SprintBudget(const SprintConfig& config, sim::Time now);
-
-  // Current budget level at simulation time `now`.
-  double level(sim::Time now) const { return budget_.level(now); }
-  bool has_budget(sim::Time now) const { return budget_.has_budget(now); }
-
-  // Marks the start of a sprint at `now`. Returns the time at which the
-  // budget will deplete if the sprint never ends (infinity when the
-  // replenish rate covers the drain or the budget is unlimited).
-  sim::Time begin_sprint(sim::Time now) { return budget_.begin_sprint(now); }
-  // Marks the end of the sprint at `now`.
-  void end_sprint(sim::Time now) { budget_.end_sprint(now); }
-
-  bool sprinting() const { return budget_.sprinting(); }
-  // Total Joules drained by sprints so far (extra power integrated).
-  double consumed(sim::Time now) const { return budget_.consumed(now); }
-
-  // Mirrors the budget level (Joules) and cumulative consumption into
-  // gauges on every state change (null detaches). Levels are as of the
-  // begin/end sprint events — lazy advancement means intermediate decay is
-  // not published.
-  void attach_gauges(obs::Gauge* level, obs::Gauge* consumed) {
-    budget_.attach_gauges(level, consumed);
-  }
-
- private:
-  runtime::EnergyBudget budget_;
 };
 
 }  // namespace dias::cluster

@@ -5,25 +5,21 @@
 #include <numbers>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 
 namespace dias {
 namespace {
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
-// splitmix64: seeds the xoshiro state from a single 64-bit value.
-std::uint64_t splitmix64(std::uint64_t& x) {
-  std::uint64_t z = (x += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
-  std::uint64_t s = seed;
-  for (auto& w : state_) w = splitmix64(s);
+  // Seeds the xoshiro state from a splitmix64 stream over `seed`.
+  for (auto& w : state_) {
+    w = splitmix64(seed);
+    seed += kSplitmixGamma;
+  }
 }
 
 Rng::result_type Rng::operator()() {

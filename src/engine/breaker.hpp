@@ -10,10 +10,10 @@
 // and bounded:
 //
 //   closed    — writes flow; each failure increments a consecutive-failure
-//               count, any success resets it. At `failure_threshold`
+//               count, any success resets it. At kFailureThreshold
 //               consecutive failures the breaker trips open.
 //   open      — writes are denied without touching the backend (the dead
-//               disk stops being hammered). Every `probe_interval`-th
+//               disk stops being hammered). Every kProbeInterval-th
 //               denied operation is let through as a half-open probe.
 //   half-open — one probe in flight: success closes the breaker, failure
 //               re-opens it and restarts the denial count.
@@ -30,31 +30,19 @@
 #include <cstdint>
 #include <mutex>
 
-#include "common/error.hpp"
-
 namespace dias::engine {
 
 class SpillBreaker {
  public:
-  struct Options {
-    // Consecutive failures that trip closed -> open (>= 1).
-    int failure_threshold = 3;
-    // Every Nth denied operation while open becomes a half-open probe
-    // (>= 1; 1 = probe every time, i.e. no denial).
-    int probe_interval = 16;
-  };
+  // Consecutive failures that trip closed -> open.
+  static constexpr int kFailureThreshold = 3;
+  // Every Nth denied operation while open becomes a half-open probe.
+  static constexpr int kProbeInterval = 16;
 
   enum class State { kClosed, kOpen, kHalfOpen };
 
-  SpillBreaker() = default;
-  explicit SpillBreaker(Options options) : options_(options) {
-    DIAS_EXPECTS(options_.failure_threshold >= 1,
-                 "breaker failure_threshold must be >= 1");
-    DIAS_EXPECTS(options_.probe_interval >= 1, "breaker probe_interval must be >= 1");
-  }
-
   // May this write attempt touch the backend? Denials are counted; every
-  // probe_interval-th denial converts into a half-open probe instead.
+  // kProbeInterval-th denial converts into a half-open probe instead.
   bool allow() {
     std::lock_guard lock(mu_);
     switch (state_) {
@@ -66,7 +54,7 @@ class SpillBreaker {
         return false;
       case State::kOpen: {
         ++denied_;
-        if (denied_ % options_.probe_interval == 0) {
+        if (denied_ % kProbeInterval == 0) {
           state_ = State::kHalfOpen;
           return true;
         }
@@ -93,7 +81,7 @@ class SpillBreaker {
       return;
     }
     if (state_ == State::kClosed &&
-        ++consecutive_failures_ >= options_.failure_threshold) {
+        ++consecutive_failures_ >= kFailureThreshold) {
       state_ = State::kOpen;
       consecutive_failures_ = 0;
       ++trips_;
@@ -145,7 +133,6 @@ class SpillBreaker {
   }
 
  private:
-  Options options_;
   mutable std::mutex mu_;
   State state_ = State::kClosed;
   int consecutive_failures_ = 0;

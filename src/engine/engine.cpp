@@ -241,8 +241,7 @@ void Engine::apply_stage_plan(const StagePlan& plan, ShuffleOptions& shuffle,
     if (budget == 0) {
       // Explicit "stay resident" hint.
       shuffle.memory_budget_bytes = 0;
-    } else if (entry_spillable &&
-               (shuffle.spill != nullptr || spill_ != nullptr)) {
+    } else if (entry_spillable && spill_ != nullptr) {
       // Advisory: clamp to one record so the hint passes budget validation.
       shuffle.memory_budget_bytes = std::max(budget, entry_bytes);
     }

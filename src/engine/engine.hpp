@@ -175,20 +175,12 @@ class Engine {
     // degrading the task. Task faults come from the chaos plane's
     // `engine.task` point, which arms the attempt loop whatever the policy.
     FaultToleranceOptions fault;
-    // Spill circuit breaker thresholds. The breaker governs every spill
-    // write of this engine (see SpillBreaker): after
-    // `spill_breaker.failure_threshold` consecutive backend failures the
-    // shuffle trips to the in-memory fallback instead of burning task
-    // attempts on a dead disk. Shuffle segments always live in per-slot
-    // arenas recycled at each shuffle's epoch boundary.
-    SpillBreaker::Options spill_breaker;
   };
 
   explicit Engine(Options options)
       : options_(options),
         pool_(options.workers, options.reserve_workers),
-        rng_(options.seed),
-        spill_breaker_(options.spill_breaker) {
+        rng_(options.seed) {
     DIAS_EXPECTS(options.drop_ratio >= 0.0 && options.drop_ratio <= 1.0,
                  "drop ratio must be in [0,1]");
     options.fault.validate();
@@ -230,11 +222,10 @@ class Engine {
   void clear_cancellation() { cancel_.reset(); }
 
   // --- spill backend -------------------------------------------------------
-  // Attaches the engine-wide spill destination used by shuffles whose
-  // ShuffleOptions carry a finite memory_budget_bytes but no per-shuffle
-  // backend (null detaches). The engine does not own the backend; it must
-  // outlive every shuffle that spills through it. Not thread-safe against
-  // a concurrently running stage.
+  // Attaches the spill destination used by shuffles whose ShuffleOptions
+  // carry a finite memory_budget_bytes (null detaches). The engine does
+  // not own the backend; it must outlive every shuffle that spills
+  // through it. Not thread-safe against a concurrently running stage.
   void set_spill_backend(SpillBackend* backend) { spill_ = backend; }
   SpillBackend* spill_backend() const { return spill_; }
   // The engine's spill circuit breaker. State persists across shuffles —
@@ -752,12 +743,12 @@ class Engine {
 
   // Resolves ShuffleOptions into the sink's spill policy for a shuffle
   // whose segment entries have type `Entry`. Unbounded budgets resolve to
-  // the inert default policy; an explicit finite budget demands a backend
-  // (the per-shuffle override or the engine-wide one), spillable entries,
-  // and room for at least one record. A budget inherited from
-  // DIAS_SHUFFLE_BUDGET_BYTES (ShuffleOptions::kBudgetFromEnv) is instead
-  // ignored on shuffles it cannot apply to — a process-wide env var must
-  // not break programs that never opted into spilling.
+  // the inert default policy; an explicit finite budget demands the
+  // engine's spill backend, spillable entries and room for at least one
+  // record. A budget inherited from DIAS_SHUFFLE_BUDGET_BYTES
+  // (ShuffleOptions::kBudgetFromEnv) is instead ignored on shuffles it
+  // cannot apply to — a process-wide env var must not break programs that
+  // never opted into spilling.
   template <typename Entry>
   detail::SpillPolicy make_spill_policy(const ShuffleOptions& shuffle) {
     detail::SpillPolicy policy;
@@ -772,12 +763,11 @@ class Engine {
           "shuffle memory_budget_bytes set but the key/aggregate types have no "
           "spill codec");
     } else {
-      SpillBackend* backend = shuffle.spill != nullptr ? shuffle.spill : spill_;
-      if (backend == nullptr) {
+      if (spill_ == nullptr) {
         if (from_env) return policy;
         throw config_error(
             "shuffle memory_budget_bytes set but no spill backend attached "
-            "(Engine::set_spill_backend or ShuffleOptions::spill)");
+            "(Engine::set_spill_backend)");
       }
       if (budget < sizeof(Entry)) {
         if (from_env) return policy;
@@ -787,7 +777,7 @@ class Engine {
             " bytes)");
       }
       policy.budget_bytes = budget;
-      policy.backend = backend;
+      policy.backend = spill_;
       return policy;
     }
   }

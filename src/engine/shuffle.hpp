@@ -95,17 +95,14 @@ struct ShuffleOptions {
   static constexpr std::size_t kBudgetFromEnv = static_cast<std::size_t>(-1);
   // Hard budget for resident shuffle state (segments awaiting merge plus
   // combiner scratch, estimated as entry storage). 0 means unbounded.
-  // An *explicit* finite budget requires a spill backend (here or on the
-  // Engine) and spillable key/aggregate types, and must be at least the
-  // size of one shuffled record; violations are config_error at shuffle
-  // entry. The kBudgetFromEnv default is lenient instead: a process-wide
+  // An *explicit* finite budget requires a spill backend
+  // (Engine::set_spill_backend) and spillable key/aggregate types, and
+  // must be at least the size of one shuffled record; violations are
+  // config_error at shuffle entry. The kBudgetFromEnv default is lenient instead: a process-wide
   // env budget applies only to shuffles that can actually spill and is
   // silently ignored otherwise, so exporting the variable never breaks
   // programs that never opted into spilling.
   std::size_t memory_budget_bytes = kBudgetFromEnv;
-  // Per-shuffle spill destination; when null the Engine's attached
-  // backend (Engine::set_spill_backend) is used.
-  SpillBackend* spill = nullptr;
 };
 
 namespace detail {

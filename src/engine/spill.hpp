@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 
 namespace dias::engine {
 
@@ -86,17 +87,6 @@ class SpillBackend {
 
 namespace detail {
 
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-inline std::uint64_t fnv1a_update(std::uint64_t h, const char* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 // Pull cursor over a SpillReader: bounds-checked reads across chunk
 // boundaries, so decoders never hold more than one backend chunk. Keeps a
 // running FNV-1a over every byte it hands out, so the segment decoder can
@@ -115,7 +105,7 @@ class SpillCursor {
       }
       const std::size_t take = std::min(n, chunk_.size() - pos_);
       std::memcpy(out, chunk_.data() + pos_, take);
-      hash_ = fnv1a_update(hash_, chunk_.data() + pos_, take);
+      hash_ = fnv1a({chunk_.data() + pos_, take}, hash_);
       pos_ += take;
       out += take;
       n -= take;
@@ -132,7 +122,7 @@ class SpillCursor {
       }
       const std::size_t take = std::min(n, chunk_.size() - pos_);
       dst.append(chunk_.data() + pos_, take);
-      hash_ = fnv1a_update(hash_, chunk_.data() + pos_, take);
+      hash_ = fnv1a({chunk_.data() + pos_, take}, hash_);
       pos_ += take;
       n -= take;
     }
@@ -263,7 +253,7 @@ std::string encode_spill_segment(const EntryVec& entries) {
   const std::uint64_t count = entries.size();
   out.append(reinterpret_cast<const char*>(&count), sizeof(count));
   for (const auto& e : entries) SpillCodec<Entry>::encode(e, out);
-  const std::uint64_t checksum = fnv1a_update(kFnvOffset, out.data(), out.size());
+  const std::uint64_t checksum = fnv1a(out);
   out.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   return out;
 }

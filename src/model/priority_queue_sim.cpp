@@ -2,7 +2,6 @@
 
 #include <deque>
 #include <limits>
-#include <optional>
 
 #include "common/error.hpp"
 
@@ -40,7 +39,10 @@ PriorityQueueSimResult simulate_priority_queue(const Mmap& arrivals,
   result.completed.assign(k, 0);
 
   std::vector<std::deque<Job>> queues(k);
-  std::optional<Job> active;
+  // The job in service, valid while `busy` (a plain Job rather than
+  // std::optional<Job>, whose payload GCC 12 -O2 flags as maybe-uninitialized).
+  Job active;
+  bool busy = false;
   double active_since = 0.0;  // when the current service quantum began
 
   double t = 0.0;
@@ -63,24 +65,25 @@ PriorityQueueSimResult simulate_priority_queue(const Mmap& arrivals,
   };
 
   const auto dispatch = [&] {
-    DIAS_EXPECTS(!active.has_value(), "dispatch with a job in service");
+    DIAS_EXPECTS(!busy, "dispatch with a job in service");
     for (std::size_t c = k; c-- > 0;) {
       if (queues[c].empty()) continue;
-      active = std::move(queues[c].front());
+      active = queues[c].front();
+      busy = true;
       queues[c].pop_front();
       --backlog;
       break;
     }
-    if (!active) return;
-    if (active->needs_resample) {
-      active->work_total = services[active->job_class].sample(service_rng);
-      active->work_remaining = active->work_total;
-      active->needs_resample = false;
+    if (!busy) return;
+    if (active.needs_resample) {
+      active.work_total = services[active.job_class].sample(service_rng);
+      active.work_remaining = active.work_total;
+      active.needs_resample = false;
     }
-    if (active->first_start < 0.0) {
-      active->first_start = t;
+    if (active.first_start < 0.0) {
+      active.first_start = t;
       if (completed >= options.warmup) {
-        result.waiting[active->job_class].add(t - active->arrival);
+        result.waiting[active.job_class].add(t - active.arrival);
       }
     }
     active_since = t;
@@ -90,10 +93,10 @@ PriorityQueueSimResult simulate_priority_queue(const Mmap& arrivals,
   // Drain-time fairness: arrivals stop after options.jobs; we run to empty.
   for (;;) {
     const double completion_at =
-        active ? active_since + active->work_remaining : std::numeric_limits<double>::infinity();
+        busy ? active_since + active.work_remaining : std::numeric_limits<double>::infinity();
     const double arrival_at =
         arrival_pending ? next_arrival : std::numeric_limits<double>::infinity();
-    if (!active && !arrival_pending) break;
+    if (!busy && !arrival_pending) break;
 
     if (arrival_at < completion_at) {
       // --- arrival ---------------------------------------------------------
@@ -107,12 +110,12 @@ PriorityQueueSimResult simulate_priority_queue(const Mmap& arrivals,
       ++result.generated[job.job_class];
       draw_arrival();
 
-      const bool preempts = discipline != SimDiscipline::kNonPreemptive && active &&
-                            job.job_class > active->job_class;
+      const bool preempts = discipline != SimDiscipline::kNonPreemptive && busy &&
+                            job.job_class > active.job_class;
       if (preempts) {
         result.busy_time += t - active_since;
-        Job evicted = *active;
-        active.reset();
+        Job evicted = active;
+        busy = false;
         switch (discipline) {
           case SimDiscipline::kPreemptiveResume:
             evicted.work_remaining -= t - active_since;
@@ -131,7 +134,7 @@ PriorityQueueSimResult simulate_priority_queue(const Mmap& arrivals,
       }
       queues[job.job_class].push_back(std::move(job));
       ++backlog;
-      if (!active) dispatch();
+      if (!busy) dispatch();
       if (backlog > options.max_backlog) {
         result.truncated = true;
         break;
@@ -141,11 +144,11 @@ PriorityQueueSimResult simulate_priority_queue(const Mmap& arrivals,
       t = completion_at;
       result.busy_time += t - active_since;
       ++completed;
-      ++result.completed[active->job_class];
+      ++result.completed[active.job_class];
       if (completed > options.warmup) {
-        result.response[active->job_class].add(t - active->arrival);
+        result.response[active.job_class].add(t - active.arrival);
       }
-      active.reset();
+      busy = false;
       dispatch();
       if (!options.drain_after_arrivals && !arrival_pending) break;
     }

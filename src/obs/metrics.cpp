@@ -1,108 +1,29 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 #include "obs/json.hpp"
 
 namespace dias::obs {
 
-HistogramMetric::HistogramMetric(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), bins_(bins) {
-  DIAS_EXPECTS(bins > 0, "histogram needs at least one bin");
-  DIAS_EXPECTS(hi > lo, "histogram range must be non-empty");
-}
-
 void HistogramMetric::observe(double x) {
   std::lock_guard lock(mu_);
-  seq_.fetch_add(1, std::memory_order_acq_rel);  // odd: write in flight
-  // Writer-exclusive under mu_, so relaxed loads read our own last stores;
-  // the math mirrors dias::Welford / dias::Histogram exactly so existing
-  // stats() expectations are unchanged.
-  const std::uint64_t n = count_.load(std::memory_order_relaxed) + 1;
-  if (n == 1) {
-    min_.store(x, std::memory_order_relaxed);
-    max_.store(x, std::memory_order_relaxed);
-  } else {
-    if (x < min_.load(std::memory_order_relaxed)) min_.store(x, std::memory_order_relaxed);
-    if (x > max_.load(std::memory_order_relaxed)) max_.store(x, std::memory_order_relaxed);
-  }
-  double mean = mean_.load(std::memory_order_relaxed);
-  const double delta = x - mean;
-  mean += delta / static_cast<double>(n);
-  mean_.store(mean, std::memory_order_relaxed);
-  m2_.store(m2_.load(std::memory_order_relaxed) + delta * (x - mean),
-            std::memory_order_relaxed);
-  std::size_t idx = 0;
-  if (x >= lo_) {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    if (idx >= bins_.size()) idx = bins_.size() - 1;
-  }
-  bins_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.store(n, std::memory_order_relaxed);
-  seq_.fetch_add(1, std::memory_order_release);  // even: consistent again
-}
-
-void HistogramMetric::copy_raw(Raw& out) const {
-  out.count = count_.load(std::memory_order_relaxed);
-  out.mean = mean_.load(std::memory_order_relaxed);
-  out.m2 = m2_.load(std::memory_order_relaxed);
-  out.min = min_.load(std::memory_order_relaxed);
-  out.max = max_.load(std::memory_order_relaxed);
-  out.bins.resize(bins_.size());
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    out.bins[i] = bins_[i].load(std::memory_order_relaxed);
-  }
-}
-
-double HistogramMetric::quantile(const Raw& raw, double q) const {
-  std::uint64_t total = 0;
-  for (const auto c : raw.bins) total += c;
-  if (total == 0) return lo_;
-  const double target = q * static_cast<double>(total);
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < raw.bins.size(); ++i) {
-    const std::uint64_t next = cum + raw.bins[i];
-    if (static_cast<double>(next) >= target) {
-      const double frac =
-          raw.bins[i] == 0
-              ? 0.0
-              : (target - static_cast<double>(cum)) / static_cast<double>(raw.bins[i]);
-      return lo_ + width_ * static_cast<double>(i) + frac * width_;
-    }
-    cum = next;
-  }
-  return lo_ + width_ * static_cast<double>(raw.bins.size());
-}
-
-HistogramMetric::Stats HistogramMetric::finalize(const Raw& raw) const {
-  Stats s;
-  s.count = static_cast<std::size_t>(raw.count);
-  if (s.count == 0) return s;
-  s.mean = raw.mean;
-  s.stddev = std::sqrt(std::max(0.0, raw.m2 / static_cast<double>(raw.count)));
-  s.min = raw.min;
-  s.max = raw.max;
-  s.p50 = quantile(raw, 0.50);
-  s.p95 = quantile(raw, 0.95);
-  s.p99 = quantile(raw, 0.99);
-  return s;
+  moments_.add(x);
+  histogram_.add(x);
 }
 
 HistogramMetric::Stats HistogramMetric::stats() const {
-  Raw raw;
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const std::uint64_t s1 = seq_.load(std::memory_order_acquire);
-    if (s1 & 1) continue;  // write in flight, retry
-    copy_raw(raw);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (seq_.load(std::memory_order_relaxed) == s1) return finalize(raw);
-  }
-  // Write storm: fall back to excluding writers for one consistent copy.
   std::lock_guard lock(mu_);
-  copy_raw(raw);
-  return finalize(raw);
+  Stats s;
+  s.count = moments_.count();
+  if (s.count == 0) return s;  // Histogram::quantile throws on empty
+  s.mean = moments_.mean();
+  s.stddev = moments_.stddev();
+  s.min = moments_.min();
+  s.max = moments_.max();
+  s.p50 = histogram_.quantile(0.50);
+  s.p95 = histogram_.quantile(0.95);
+  s.p99 = histogram_.quantile(0.99);
+  return s;
 }
 
 void Registry::check_kind(const std::string& name, Kind kind) {
@@ -136,14 +57,6 @@ HistogramMetric& Registry::histogram(const std::string& name, double lo, double 
   return *slot;
 }
 
-ShardedCounter& Registry::sharded_counter(const std::string& name, std::size_t shards) {
-  std::lock_guard lock(mu_);
-  check_kind(name, Kind::kShardedCounter);
-  auto& slot = sharded_[name];
-  if (!slot) slot = std::make_unique<ShardedCounter>(shards);
-  return *slot;
-}
-
 const Counter* Registry::find_counter(const std::string& name) const {
   std::lock_guard lock(mu_);
   const auto it = counters_.find(name);
@@ -162,22 +75,11 @@ const HistogramMetric* Registry::find_histogram(const std::string& name) const {
   return it == histograms_.end() ? nullptr : it->second.get();
 }
 
-const ShardedCounter* Registry::find_sharded_counter(const std::string& name) const {
-  std::lock_guard lock(mu_);
-  const auto it = sharded_.find(name);
-  return it == sharded_.end() ? nullptr : it->second.get();
-}
-
 MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot snap;
   std::lock_guard lock(mu_);
-  snap.counters.reserve(counters_.size() + sharded_.size());
+  snap.counters.reserve(counters_.size());
   for (const auto& [name, c] : counters_) snap.counters.push_back({name, c->value()});
-  // Sharded counters export as one folded entry; re-sort so the combined
-  // counter list stays name-ordered (JSON output is diffed in tests).
-  for (const auto& [name, c] : sharded_) snap.counters.push_back({name, c->value()});
-  std::sort(snap.counters.begin(), snap.counters.end(),
-            [](const auto& a, const auto& b) { return a.name < b.name; });
   snap.gauges.reserve(gauges_.size());
   for (const auto& [name, g] : gauges_) snap.gauges.push_back({name, g->value()});
   snap.histograms.reserve(histograms_.size());

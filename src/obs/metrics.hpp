@@ -9,12 +9,11 @@
 //      single relaxed atomic operations on handles cached at attach time;
 //      name lookup happens once, at registration, never per update.
 //   3. Snapshots are safe while recording: readers take the registry mutex
-//      only to walk the (append-only) name tables; individual metric reads
-//      are atomic loads or a seqlock-validated optimistic copy.
+//      only to walk the (append-only) name tables; counter and gauge reads
+//      are atomic loads, histogram reads take the histogram's own mutex.
 //
-// Histograms reproduce the math of dias::Welford (exact streaming
-// mean/stddev/min/max) plus dias::Histogram (fixed bins, approximate
-// quantiles), restated over atomics so snapshots cannot tear.
+// Histograms are a dias::Welford (exact streaming mean/stddev/min/max) plus
+// a dias::Histogram (fixed bins, approximate quantiles) under one mutex.
 #pragma once
 
 #include <atomic>
@@ -25,6 +24,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "common/stats.hpp"
 
 namespace dias::obs {
 
@@ -64,8 +65,9 @@ inline constexpr std::size_t kCacheLineBytes = 64;
 // (worker slot id) never bounce a line between cores the way a single
 // Counter's fetch_add does. value() folds the shards; reads are relaxed,
 // so a concurrent fold is a consistent-enough snapshot for export, not a
-// linearizable total. Out-of-range shard ids wrap instead of faulting —
-// a foreign thread with no slot can always use `shards() - 1`.
+// linearizable total. Out-of-range shard ids wrap instead of faulting.
+// Not a registry kind: the thread pool owns one (a shard per worker slot)
+// and publishes its fold through an ordinary Counter.
 class ShardedCounter {
  public:
   explicit ShardedCounter(std::size_t shards) : cells_(shards == 0 ? 1 : shards) {}
@@ -93,22 +95,15 @@ class ShardedCounter {
   std::vector<Cell> cells_;
 };
 
-// Distribution metric: exact moments (Welford recurrence) + binned
-// quantiles (fixed bins over [lo, hi), clamped like dias::Histogram).
-//
-// Writers serialize on a per-metric mutex and publish through a seqlock
-// (`seq_` is odd while an observe() is mutating); every mutated field is a
-// relaxed atomic. stats() is therefore an optimistic, non-blocking read:
-// it copies a candidate state without taking the mutex and retries when
-// the sequence number shows a concurrent write — so a snapshot can never
-// observe a torn (count, mean, m2) tuple, and snapshotting never blocks
-// recording. After a bounded number of collisions the reader falls back
-// to the writer mutex, guaranteeing progress under a write storm.
-// Callers on genuinely hot paths should still batch observations (the
-// engine records task times once per stage, not once per task).
+// Distribution metric: exact moments (dias::Welford) + binned quantiles
+// (dias::Histogram: fixed bins over [lo, hi), out-of-range values clamp
+// into the first/last bin). observe() and stats() serialize on one mutex,
+// so a snapshot never sees a torn (count, mean, m2) tuple. Callers on hot
+// paths should batch observations (the engine records task times once per
+// stage, not once per task).
 class HistogramMetric {
  public:
-  HistogramMetric(double lo, double hi, std::size_t bins);
+  HistogramMetric(double lo, double hi, std::size_t bins) : histogram_(lo, hi, bins) {}
 
   void observe(double x);
 
@@ -125,30 +120,9 @@ class HistogramMetric {
   Stats stats() const;
 
  private:
-  // Raw state copied out by one (possibly torn — the seq check decides)
-  // read attempt, finalized into Stats only once proven consistent.
-  struct Raw {
-    std::uint64_t count = 0;
-    double mean = 0.0;
-    double m2 = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    std::vector<std::uint64_t> bins;
-  };
-  void copy_raw(Raw& out) const;
-  Stats finalize(const Raw& raw) const;
-  double quantile(const Raw& raw, double q) const;
-
-  mutable std::mutex mu_;  // serializes writers (and the reader fallback)
-  std::atomic<std::uint64_t> seq_{0};  // odd while a write is in flight
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> mean_{0.0};
-  std::atomic<double> m2_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
-  const double lo_;
-  const double width_;
-  std::vector<std::atomic<std::uint64_t>> bins_;
+  mutable std::mutex mu_;
+  Welford moments_;
+  Histogram histogram_;
 };
 
 // Point-in-time copy of every registered metric, detached from the
@@ -187,10 +161,6 @@ class Registry {
   Gauge& gauge(const std::string& name);
   HistogramMetric& histogram(const std::string& name, double lo, double hi,
                              std::size_t bins);
-  // A sharded counter's shard count is fixed by its first registration
-  // (later calls return the same metric regardless of `shards`). Snapshots
-  // fold a sharded counter into a single counter entry under its name.
-  ShardedCounter& sharded_counter(const std::string& name, std::size_t shards);
 
   // Non-registering lookups: nullptr when the name is absent or is a
   // different kind. Lets a sampler (the overload controller reading the
@@ -199,13 +169,12 @@ class Registry {
   const Counter* find_counter(const std::string& name) const;
   const Gauge* find_gauge(const std::string& name) const;
   const HistogramMetric* find_histogram(const std::string& name) const;
-  const ShardedCounter* find_sharded_counter(const std::string& name) const;
 
   MetricsSnapshot snapshot() const;
   std::string to_json() const { return snapshot().to_json(); }
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kShardedCounter };
+  enum class Kind { kCounter, kGauge, kHistogram };
   void check_kind(const std::string& name, Kind kind);
 
   mutable std::mutex mu_;
@@ -213,7 +182,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
-  std::map<std::string, std::unique_ptr<ShardedCounter>> sharded_;
 };
 
 }  // namespace dias::obs

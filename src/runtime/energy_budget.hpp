@@ -1,9 +1,10 @@
 // Host-agnostic sprint energy accounting (paper Sections 2.3, 3.2).
 //
 // One policy, two hosts: this is the single implementation of the DVFS
-// budget semantics shared by the cluster *simulator* (cluster::SprintBudget
-// delegates here, feeding simulation time) and the real-engine runtime
-// (runtime::SprintGovernor, feeding wall-clock seconds). The budget holds
+// budget semantics shared by the cluster *simulator* (which holds one built
+// from cluster::SprintConfig::energy_config(), feeding simulation time) and
+// the real-engine runtime (runtime::SprintGovernor, feeding wall-clock
+// seconds). The budget holds
 // Joules; while a sprint is active it drains at the *extra* power drawn by
 // the high frequency (sprint_power - base_power) net of replenishment;
 // while idle it replenishes at the configured rate up to a cap (e.g. "6

@@ -12,7 +12,7 @@
 //   * budget enforcement: a sprint ends at job completion or at the
 //     budget's predicted depletion time, whichever comes first, so energy
 //     spent never exceeds budget + replenishment (the same conservation
-//     contract the simulator's SprintBudget keeps);
+//     contract the simulator's EnergyBudget keeps);
 //   * grant/revoke bookkeeping: every sprint produces a SprintInterval
 //     (seconds relative to the job's start) that the dispatcher copies
 //     into its JobRecord, plus obs counters/gauges and "runtime.sprint"

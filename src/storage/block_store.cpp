@@ -6,6 +6,7 @@
 
 #include "chaos/chaos.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 
 namespace dias::storage {
 namespace {
@@ -19,15 +20,6 @@ void check_name(const std::string& name) {
 }
 
 }  // namespace
-
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
 
 BlockStore::BlockStore(BlockStoreOptions options) : options_(std::move(options)) {
   DIAS_EXPECTS(!options_.root.empty(), "block store needs a root directory");
@@ -73,7 +65,7 @@ FileMetadata BlockStore::write_lines(const std::string& name,
                                      const std::vector<std::string>& lines) {
   check_name(name);
   if (storage_write_point().armed()) {
-    storage_write_point().inject(chaos::detail::fnv1a(name), lines.size());
+    storage_write_point().inject(fnv1a(name), lines.size());
   }
   const auto dir = file_dir(name);
   std::filesystem::remove_all(dir);
@@ -118,7 +110,7 @@ FileMetadata BlockStore::write_lines(const std::string& name,
 FileMetadata BlockStore::write_bytes(const std::string& name, const std::string& data) {
   check_name(name);
   if (storage_write_point().armed()) {
-    storage_write_point().inject(chaos::detail::fnv1a(name), data.size());
+    storage_write_point().inject(fnv1a(name), data.size());
   }
   const auto dir = file_dir(name);
   std::filesystem::remove_all(dir);
@@ -197,7 +189,7 @@ std::vector<std::uint64_t> BlockStore::load_checksums(const std::string& name,
 std::string BlockStore::read_block_raw(const std::string& name, std::size_t block,
                                        std::uint64_t expected) const {
   if (storage_read_point().armed()) {
-    storage_read_point().inject(chaos::detail::fnv1a(name), block);
+    storage_read_point().inject(fnv1a(name), block);
   }
   for (int r = 0; r < options_.replication; ++r) {
     std::ifstream in(block_path(name, block, r), std::ios::binary);

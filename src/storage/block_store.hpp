@@ -120,7 +120,4 @@ class BlockStore {
   std::atomic<std::uint64_t> bytes_written_{0};
 };
 
-// FNV-1a 64-bit checksum used for block integrity.
-std::uint64_t fnv1a(const std::string& data);
-
 }  // namespace dias::storage

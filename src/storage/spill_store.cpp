@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "chaos/chaos.hpp"
+#include "common/hash.hpp"
 
 namespace dias::storage {
 namespace {
@@ -52,7 +53,7 @@ std::uint64_t BlockStoreSpill::write(const std::string& bytes) {
   static chaos::InjectionPoint& chaos_write =
       chaos::ChaosPlane::instance().point(chaos::points::kSpillWrite);
   if (chaos_write.armed() && !bytes.empty() &&
-      chaos_write.inject(chaos::detail::fnv1a(bytes), bytes.size())) {
+      chaos_write.inject(fnv1a(bytes), bytes.size())) {
     std::string mangled = bytes;
     mangled[mangled.size() / 2] ^= std::string::value_type{0x5A};
     store_.write_bytes(segment_name(id), mangled);

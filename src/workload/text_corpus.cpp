@@ -11,7 +11,9 @@ namespace {
 std::string word_for_rank(std::size_t rank) {
   // Deterministic pseudo-words: "w" + rank. Distinctness is all the word
   // count cares about; Zipf ranks carry the popularity structure.
-  return "w" + std::to_string(rank);
+  std::string word = "w";
+  word += std::to_string(rank);
+  return word;
 }
 
 }  // namespace

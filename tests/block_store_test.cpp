@@ -509,11 +509,5 @@ TEST_F(SpillFaultTest, CancellationOutranksSpillFaults) {
   EXPECT_THROW(run_spilled_shuffle(eng, spill), dias::JobCancelledError);
 }
 
-TEST(Fnv1aTest, KnownProperties) {
-  EXPECT_EQ(fnv1a(""), 0xCBF29CE484222325ULL);
-  EXPECT_NE(fnv1a("a"), fnv1a("b"));
-  EXPECT_EQ(fnv1a("dias"), fnv1a("dias"));
-}
-
 }  // namespace
 }  // namespace dias::storage

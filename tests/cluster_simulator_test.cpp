@@ -327,6 +327,15 @@ TEST(ClusterSimulatorTest, SlotFactorValidation) {
                dias::precondition_error);
 }
 
+TEST(ClusterSimulatorTest, SprintSpeedupValidation) {
+  // Power, replenish and budget bounds belong to runtime::EnergyBudget; the
+  // speedup is simulator-only and checked with the rest of the config.
+  auto config = det_config(2);
+  config.sprint.speedup = 0.9;
+  EXPECT_THROW(simulate(config, {{0.0, simple_job(0, 1, 1.0)}}),
+               dias::precondition_error);
+}
+
 TEST(ClusterSimulatorTest, WeightedFairInterleavesClasses) {
   // Strict priority would run all queued high jobs before any low job;
   // 1:1 weights must alternate them.

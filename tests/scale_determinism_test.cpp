@@ -27,10 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,6 +35,7 @@
 #include "analytics/word_count.hpp"
 #include "common/rng.hpp"
 #include "engine/engine.hpp"
+#include "memory_spill.hpp"
 #include "workload/graph_gen.hpp"
 #include "workload/text_corpus.hpp"
 
@@ -46,70 +44,12 @@ namespace {
 
 using engine::Engine;
 using engine::ShuffleOptions;
-using engine::SpillBackend;
-using engine::SpillReader;
-using engine::SpillStats;
 using engine::StageOptions;
+using tests::MemorySpill;
 
 constexpr std::size_t kInputPartitions = 6;
 constexpr std::size_t kOutPartitions = 7;
 const std::size_t kWorkerSweep[] = {1, 2, 8, 16, 32};
-
-// Heap-backed SpillBackend (same protocol as the spill property suite's):
-// lets the battery drive the spill path without touching disk, with small
-// chunks so decode crosses chunk boundaries.
-class MemorySpill final : public SpillBackend {
- public:
-  std::uint64_t write(const std::string& bytes) override {
-    std::lock_guard lock(mu_);
-    const std::uint64_t id = next_id_++;
-    segments_[id] = bytes;
-    ++stats_.segments_written;
-    stats_.bytes_written += bytes.size();
-    return id;
-  }
-
-  std::unique_ptr<SpillReader> open(std::uint64_t handle) override {
-    std::lock_guard lock(mu_);
-    const auto it = segments_.find(handle);
-    if (it == segments_.end()) throw error("spill segment not found");
-    ++stats_.segments_read;
-    stats_.bytes_read += it->second.size();
-    return std::make_unique<Reader>(it->second);
-  }
-
-  void release(std::uint64_t handle) override {
-    std::lock_guard lock(mu_);
-    segments_.erase(handle);
-  }
-
-  SpillStats stats() const override {
-    std::lock_guard lock(mu_);
-    return stats_;
-  }
-
- private:
-  class Reader final : public SpillReader {
-   public:
-    explicit Reader(std::string bytes) : bytes_(std::move(bytes)) {}
-    bool next(std::string& out) override {
-      if (off_ >= bytes_.size()) return false;
-      const std::size_t n = std::min<std::size_t>(97, bytes_.size() - off_);
-      out.assign(bytes_, off_, n);
-      off_ += n;
-      return true;
-    }
-
-   private:
-    std::string bytes_;
-    std::size_t off_ = 0;
-  };
-
-  mutable std::mutex mu_;
-  std::uint64_t next_id_ = 1;
-  std::unordered_map<std::uint64_t, std::string> segments_;
-  SpillStats stats_;
-};
 
 // One sweep cell. The engine reference is {1 worker, resident}.
 struct Cell {

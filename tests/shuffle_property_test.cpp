@@ -476,7 +476,9 @@ TEST(ShufflePropertyTest, StringKeysWorkEndToEnd) {
   Rng rng(123);
   std::vector<std::pair<std::string, std::int64_t>> records;
   for (int i = 0; i < 5000; ++i) {
-    records.emplace_back("w" + std::to_string(rng.uniform_int(200)), 1);
+    std::string key = "w";
+    key += std::to_string(rng.uniform_int(200));
+    records.emplace_back(std::move(key), 1);
   }
   std::map<std::string, std::int64_t> expected;
   for (const auto& [k, v] : records) expected[k] += v;

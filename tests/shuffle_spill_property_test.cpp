@@ -1,8 +1,8 @@
 // Property tests for the memory-elastic shuffle (ISSUE 6 satellite 2):
 // randomized budgets x skew x combine x workers must match an in-memory
 // oracle exactly; degenerate budgets must fail fast with a clear
-// config_error (never deadlock or OOM); and the overflow-lane fallback
-// counter must be exported through obs::Registry.
+// config_error (never deadlock or OOM); and a writer with no worker slot
+// is a precondition error.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -11,86 +11,21 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "engine/spill.hpp"
+#include "memory_spill.hpp"
 #include "obs/metrics.hpp"
 
 namespace dias::engine {
 namespace {
 
 using KV = std::pair<std::uint64_t, std::int64_t>;
-
-// Minimal heap-backed SpillBackend: exercises the engine's spill protocol
-// without touching disk, and returns chunks in awkward small pieces so the
-// decoder's cursor has to stitch values across chunk boundaries.
-class MemorySpill final : public SpillBackend {
- public:
-  explicit MemorySpill(std::size_t chunk_bytes = 97) : chunk_bytes_(chunk_bytes) {}
-
-  std::uint64_t write(const std::string& bytes) override {
-    std::lock_guard lock(mu_);
-    const std::uint64_t id = next_id_++;
-    segments_[id] = bytes;
-    ++stats_.segments_written;
-    stats_.bytes_written += bytes.size();
-    return id;
-  }
-
-  std::unique_ptr<SpillReader> open(std::uint64_t handle) override {
-    std::lock_guard lock(mu_);
-    const auto it = segments_.find(handle);
-    if (it == segments_.end()) throw error("spill segment not found");
-    ++stats_.segments_read;
-    stats_.bytes_read += it->second.size();
-    return std::make_unique<Reader>(it->second, chunk_bytes_);
-  }
-
-  void release(std::uint64_t handle) override {
-    std::lock_guard lock(mu_);
-    segments_.erase(handle);
-  }
-
-  SpillStats stats() const override {
-    std::lock_guard lock(mu_);
-    return stats_;
-  }
-
-  std::size_t live_segments() const {
-    std::lock_guard lock(mu_);
-    return segments_.size();
-  }
-
- private:
-  class Reader final : public SpillReader {
-   public:
-    Reader(std::string bytes, std::size_t chunk) : bytes_(std::move(bytes)), chunk_(chunk) {}
-    bool next(std::string& out) override {
-      if (off_ >= bytes_.size()) return false;
-      const std::size_t n = std::min(chunk_, bytes_.size() - off_);
-      out.assign(bytes_, off_, n);
-      off_ += n;
-      return true;
-    }
-
-   private:
-    std::string bytes_;
-    std::size_t chunk_;
-    std::size_t off_ = 0;
-  };
-
-  const std::size_t chunk_bytes_;
-  mutable std::mutex mu_;
-  std::uint64_t next_id_ = 1;
-  std::unordered_map<std::uint64_t, std::string> segments_;
-  SpillStats stats_;
-};
+using tests::MemorySpill;
 
 std::vector<KV> make_records(std::uint64_t seed, std::size_t n, std::uint64_t key_space,
                              double skew) {

@@ -1,3 +1,5 @@
+// SprintConfig lookups, and the sprint budget semantics the simulator
+// relies on, run against the runtime::EnergyBudget it holds.
 #include "cluster/sprinter.hpp"
 
 #include <gtest/gtest.h>
@@ -5,6 +7,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "runtime/energy_budget.hpp"
 
 namespace dias::cluster {
 namespace {
@@ -33,7 +36,7 @@ TEST(SprintConfigTest, TimeoutLookup) {
 }
 
 TEST(SprintBudgetTest, DrainsAtExtraPower) {
-  SprintBudget b(limited_config(), 0.0);
+  runtime::EnergyBudget b(limited_config().energy_config(), 0.0);
   EXPECT_DOUBLE_EQ(b.level(0.0), 900.0);
   const double deplete = b.begin_sprint(0.0);
   EXPECT_NEAR(deplete, 10.0, 1e-12);  // 900 J / 90 W
@@ -44,7 +47,7 @@ TEST(SprintBudgetTest, DrainsAtExtraPower) {
 }
 
 TEST(SprintBudgetTest, DepletesToZero) {
-  SprintBudget b(limited_config(), 0.0);
+  runtime::EnergyBudget b(limited_config().energy_config(), 0.0);
   b.begin_sprint(0.0);
   EXPECT_NEAR(b.level(10.0), 0.0, 1e-9);
   EXPECT_FALSE(b.has_budget(10.0));
@@ -59,7 +62,7 @@ TEST(SprintBudgetTest, ReplenishesUpToCap) {
   auto c = limited_config();
   c.replenish_watts = 30.0;
   c.budget_cap_joules = 1000.0;
-  SprintBudget b(c, 0.0);
+  runtime::EnergyBudget b(c.energy_config(), 0.0);
   // Idle: grows 30 J/s up to the cap.
   EXPECT_NEAR(b.level(2.0), 960.0, 1e-9);
   EXPECT_NEAR(b.level(10.0), 1000.0, 1e-9);  // capped
@@ -68,7 +71,7 @@ TEST(SprintBudgetTest, ReplenishesUpToCap) {
 TEST(SprintBudgetTest, ReplenishSlowsDrain) {
   auto c = limited_config();
   c.replenish_watts = 30.0;  // net drain 60 W
-  SprintBudget b(c, 0.0);
+  runtime::EnergyBudget b(c.energy_config(), 0.0);
   const double deplete = b.begin_sprint(0.0);
   EXPECT_NEAR(deplete, 900.0 / 60.0, 1e-9);
   EXPECT_NEAR(b.level(5.0), 900.0 - 60.0 * 5.0, 1e-9);
@@ -77,7 +80,7 @@ TEST(SprintBudgetTest, ReplenishSlowsDrain) {
 TEST(SprintBudgetTest, ReplenishCoveringDrainNeverDepletes) {
   auto c = limited_config();
   c.replenish_watts = 90.0;  // equals extra power
-  SprintBudget b(c, 0.0);
+  runtime::EnergyBudget b(c.energy_config(), 0.0);
   EXPECT_TRUE(std::isinf(b.begin_sprint(0.0)));
   EXPECT_NEAR(b.level(100.0), 900.0, 1e-9);
 }
@@ -85,7 +88,7 @@ TEST(SprintBudgetTest, ReplenishCoveringDrainNeverDepletes) {
 TEST(SprintBudgetTest, UnlimitedBudget) {
   auto c = limited_config();
   c.budget_joules = std::numeric_limits<double>::infinity();
-  SprintBudget b(c, 0.0);
+  runtime::EnergyBudget b(c.energy_config(), 0.0);
   EXPECT_TRUE(std::isinf(b.begin_sprint(0.0)));
   EXPECT_TRUE(b.has_budget(1e9));
   // Consumption is still tracked for energy accounting.
@@ -94,23 +97,22 @@ TEST(SprintBudgetTest, UnlimitedBudget) {
 }
 
 TEST(SprintBudgetTest, StateMachineGuards) {
-  SprintBudget b(limited_config(), 0.0);
+  runtime::EnergyBudget b(limited_config().energy_config(), 0.0);
   EXPECT_THROW(b.end_sprint(0.0), dias::precondition_error);
   b.begin_sprint(1.0);
   EXPECT_THROW(b.begin_sprint(2.0), dias::precondition_error);
   EXPECT_THROW(b.level(0.5), dias::precondition_error);  // time moved backwards
 }
 
+// The speedup bound is the simulator's (ClusterSimulatorTest.
+// SprintSpeedupValidation); the budget bounds are the shared policy's.
 TEST(SprintBudgetTest, ConfigValidation) {
   auto c = limited_config();
-  c.speedup = 0.9;
-  EXPECT_THROW(SprintBudget(c, 0.0), dias::precondition_error);
-  c = limited_config();
   c.sprint_power_w = 100.0;  // below base
-  EXPECT_THROW(SprintBudget(c, 0.0), dias::precondition_error);
+  EXPECT_THROW(runtime::EnergyBudget(c.energy_config(), 0.0), dias::precondition_error);
   c = limited_config();
   c.replenish_watts = -1.0;
-  EXPECT_THROW(SprintBudget(c, 0.0), dias::precondition_error);
+  EXPECT_THROW(runtime::EnergyBudget(c.energy_config(), 0.0), dias::precondition_error);
 }
 
 }  // namespace
