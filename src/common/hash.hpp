@@ -1,8 +1,9 @@
 // The repo's two non-cryptographic hashes, one definition each:
 //   * FNV-1a 64 — BlockStore block checksums, the spill segment trailer
 //     (DSP2) and chaos point-name keys;
-//   * the splitmix64 finalizer — the Rng's seed expansion and the chaos /
-//     retry-backoff decision core.
+//   * the splitmix64 finalizer — the Rng's seed expansion, the chaos /
+//     retry-backoff decision core and the shuffle FlatMap's slot mixing
+//     of integer keys.
 // Both are on-disk or decision formats: changing either changes stored
 // checksums and every seeded chaos run.
 #pragma once

@@ -58,6 +58,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "engine/arena.hpp"
 #include "engine/breaker.hpp"
 #include "engine/spill.hpp"
@@ -111,7 +112,12 @@ namespace detail {
 // movable entry storage. No erase, power-of-two slot table, indices into a
 // dense entries vector — the shape used by both the map-side combiner and
 // the merge accumulator, where iteration order must be deterministic and
-// the entries are handed off wholesale at the end.
+// the entries are handed off wholesale at the end. Integer keys are
+// mixed through splitmix64 before masking: libstdc++'s std::hash of an
+// integer is the identity, so dense, low-biased ids (R-MAT vertices) would
+// otherwise fill long contiguous slot runs that every later id probes to
+// the end of. String hashes are already mixed and are masked as they are.
+// Slots only index `entries_`, so the hash never changes entry order.
 template <typename K, typename A, typename Hash = std::hash<K>>
 class FlatMap {
  public:
@@ -133,7 +139,7 @@ class FlatMap {
   A& find_or_emplace(const K& key, Make make, bool* created) {
     if ((entries_.size() + 1) * 8 > slots_.size() * 5) grow();
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = Hash{}(key) & mask;
+    std::size_t i = slot_of(key, mask);
     for (;;) {
       const std::uint32_t s = slots_[i];
       if (s == kEmpty) {
@@ -161,12 +167,21 @@ class FlatMap {
  private:
   static constexpr std::uint32_t kEmpty = 0xffffffffu;
 
+  static std::size_t slot_of(const K& key, std::size_t mask) {
+    const std::size_t h = Hash{}(key);
+    if constexpr (std::is_integral_v<K>) {
+      return static_cast<std::size_t>(splitmix64(h)) & mask;
+    } else {
+      return h & mask;
+    }
+  }
+
   void grow() {
     const std::size_t capacity = slots_.empty() ? 16 : slots_.size() * 2;
     slots_.assign(capacity, kEmpty);
     const std::size_t mask = capacity - 1;
     for (std::size_t e = 0; e < entries_.size(); ++e) {
-      std::size_t i = Hash{}(entries_[e].first) & mask;
+      std::size_t i = slot_of(entries_[e].first, mask);
       while (slots_[i] != kEmpty) i = (i + 1) & mask;
       slots_[i] = static_cast<std::uint32_t>(e);
     }

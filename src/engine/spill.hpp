@@ -33,6 +33,7 @@
 // results bitwise identical with or without spill (see DESIGN.md §13).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -221,21 +222,47 @@ struct SpillCodec<std::pair<A, B>,
   }
 };
 
+// Vectors of arithmetic types (bool aside: std::vector<bool> is packed)
+// move their elements with one append on encode and one cursor read per
+// batch on decode; the bytes are the same as element-by-element encoding.
+template <typename T>
+inline constexpr bool kBulkSpillVector = std::is_arithmetic_v<T> && !std::is_same_v<T, bool>;
+
+// Elements a bulk vector decode adds per read. Growing by bounded batches
+// keeps the vector at most one batch ahead of the bytes actually read, so
+// a corrupt length prefix hits the truncation check instead of allocating
+// what it claims.
+inline constexpr std::size_t kSpillVectorBatch = 4096;
+
 template <typename T>
 struct SpillCodec<std::vector<T>, std::enable_if_t<is_spillable<T>::value>> {
   static void encode(const std::vector<T>& v, std::string& out) {
     const std::uint64_t len = v.size();
     out.append(reinterpret_cast<const char*>(&len), sizeof(len));
-    for (const auto& x : v) SpillCodec<std::remove_cv_t<T>>::encode(x, out);
+    if constexpr (kBulkSpillVector<T>) {
+      out.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
+    } else {
+      for (const auto& x : v) SpillCodec<std::remove_cv_t<T>>::encode(x, out);
+    }
   }
   static std::vector<T> decode(SpillCursor& in) {
     std::uint64_t len = 0;
     in.read(&len, sizeof(len));
     std::vector<T> v;
-    // No blind reserve: a corrupt length must hit the truncation check,
-    // not bulk-allocate.
-    for (std::uint64_t i = 0; i < len; ++i) {
-      v.push_back(SpillCodec<std::remove_cv_t<T>>::decode(in));
+    if constexpr (kBulkSpillVector<T>) {
+      while (v.size() < len) {
+        const std::size_t done = v.size();
+        const auto n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(len - done, kSpillVectorBatch));
+        v.resize(done + n);
+        in.read(v.data() + done, n * sizeof(T));
+      }
+    } else {
+      // No blind reserve: a corrupt length must hit the truncation check,
+      // not bulk-allocate.
+      for (std::uint64_t i = 0; i < len; ++i) {
+        v.push_back(SpillCodec<std::remove_cv_t<T>>::decode(in));
+      }
     }
     return v;
   }

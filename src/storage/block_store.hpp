@@ -6,12 +6,24 @@
 // stores line-oriented files as fixed-size blocks on the local filesystem
 // with per-block checksums and optional replication, and counts I/O so
 // experiments can measure the fetch savings of dropped tasks.
+//
+// On-disk layout, flat under the root: a file `name` is one data file per
+// replica, `name.r<k>`, holding the blocks back to back, plus one text
+// meta file, `name.meta`, holding the sizes and, per block, its end
+// offset in the data files and its FNV-1a checksum. A write is one write
+// per data file plus the meta, written last so a new file's meta never
+// describes data not yet written; a block read is one positioned read of
+// that block's byte range; `remove` unlinks the files. A meta that does
+// not parse, whose offsets do not increase or do not end at the file
+// size, is a corrupt file: reads throw dias::error, never read out of
+// range.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dias::storage {
@@ -66,27 +78,11 @@ class BlockStore {
   // Reads the whole file in block order.
   std::vector<std::string> read_all_lines(const std::string& name) const;
 
-  // Streaming block reader: loads the file's metadata — sizes plus every
-  // block checksum — once at open, then yields verified blocks in order.
-  // Unlike per-block reads it never re-opens the metadata file, which is
-  // what the merge phase wants when streaming spilled segments back.
-  class Reader {
-   public:
-    // Replaces `chunk` with the next block's bytes; false after the last
-    // block. Throws when every replica of a block is missing or corrupt.
-    bool next(std::string& chunk);
-    const FileMetadata& meta() const { return meta_; }
-
-   private:
-    friend class BlockStore;
-    Reader(const BlockStore* store, FileMetadata meta, std::vector<std::uint64_t> checksums)
-        : store_(store), meta_(std::move(meta)), checksums_(std::move(checksums)) {}
-
-    const BlockStore* store_;
-    FileMetadata meta_;
-    std::vector<std::uint64_t> checksums_;
-    std::size_t next_block_ = 0;
-  };
+  // Streaming block reader: parses the file's meta — sizes, block
+  // offsets and checksums — once at open, then yields verified blocks in
+  // order. Unlike per-block reads it never re-opens the meta file, which
+  // is what the merge phase wants when streaming spilled segments back.
+  class Reader;
   Reader open_reader(const std::string& name) const;
 
   FileMetadata stat(const std::string& name) const;
@@ -102,22 +98,49 @@ class BlockStore {
   void reset_io_stats();
 
  private:
-  std::filesystem::path file_dir(const std::string& name) const;
-  std::filesystem::path block_path(const std::string& name, std::size_t block,
-                                   int replica) const;
-  // All block checksums from the metadata file (one read).
-  std::vector<std::uint64_t> load_checksums(const std::string& name,
-                                            std::size_t blocks) const;
-  // One block's raw bytes, verified against `expected`, with replica
+  // A file's parsed meta: sizes, each block's end offset in the data
+  // files, and each block's checksum.
+  struct Index {
+    FileMetadata meta;
+    std::vector<std::uint64_t> ends;
+    std::vector<std::uint64_t> checksums;
+  };
+
+  std::filesystem::path meta_path(const std::string& name) const;
+  std::filesystem::path data_path(const std::string& name, int replica) const;
+  // Writes every replica's data file, then the meta; `ends` are the block
+  // end offsets into `data`.
+  FileMetadata write_blocks(const std::string& name, const std::string& data,
+                            const std::vector<std::uint64_t>& ends, std::size_t lines);
+  // Reads and validates the meta file (one read). Throws
+  // precondition_error when the file does not exist and dias::error when
+  // the meta is corrupt.
+  Index load_index(const std::string& name) const;
+  // One block's raw bytes, verified against its checksum, with replica
   // fallback; updates the read counters.
-  std::string read_block_raw(const std::string& name, std::size_t block,
-                             std::uint64_t expected) const;
+  std::string read_block_raw(const Index& index, std::size_t block) const;
 
   BlockStoreOptions options_;
   mutable std::atomic<std::uint64_t> blocks_read_{0};
   mutable std::atomic<std::uint64_t> bytes_read_{0};
   std::atomic<std::uint64_t> blocks_written_{0};
   std::atomic<std::uint64_t> bytes_written_{0};
+};
+
+class BlockStore::Reader {
+ public:
+  // Replaces `chunk` with the next block's bytes; false after the last
+  // block. Throws when every replica of a block is missing or corrupt.
+  bool next(std::string& chunk);
+  const FileMetadata& meta() const { return index_.meta; }
+
+ private:
+  friend class BlockStore;
+  Reader(const BlockStore* store, Index index) : store_(store), index_(std::move(index)) {}
+
+  const BlockStore* store_;
+  Index index_;
+  std::size_t next_block_ = 0;
 };
 
 }  // namespace dias::storage

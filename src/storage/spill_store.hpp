@@ -2,9 +2,11 @@
 //
 // Each spilled shuffle segment becomes one block-store file named
 // "<prefix>-<id>" (binary blocks via BlockStore::write_bytes, so spilled
-// bytes get the store's checksums and replication for free). Reading back
+// bytes get the store's checksums and replication for free): on disk, one
+// data file per replica plus one meta file, and no directory. Reading back
 // streams the file block by block through BlockStore::Reader — the merge
-// phase never holds more than one block of a spilled segment in memory.
+// phase never holds more than one block of a spilled segment in memory —
+// and release() unlinks the segment's files.
 #pragma once
 
 #include <atomic>

@@ -49,6 +49,15 @@ class BlockStoreTest : public ::testing::Test {
     return lines;
   }
 
+  // Overwrites bytes of one replica's data file in place, at `offset`, so
+  // only the block holding that range goes bad.
+  void corrupt_replica(const std::string& file, std::size_t offset) {
+    std::fstream out(root_ / file, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(out.good()) << file;
+    out.seekp(static_cast<std::streamoff>(offset));
+    out << "garbage";
+  }
+
   std::filesystem::path root_;
 };
 
@@ -92,10 +101,7 @@ TEST_F(BlockStoreTest, ChecksumDetectsCorruptionAndReplicaRecovers) {
   const auto meta = store.write_lines("f", numbered_lines(40));
   ASSERT_GE(meta.blocks, 1u);
   // Corrupt the primary copy of block 0.
-  {
-    std::ofstream out(root_ / "f" / "block-0.r0", std::ios::binary);
-    out << "garbage";
-  }
+  corrupt_replica("f.r0", 0);
   // Read succeeds via replica 1; file verifies fully.
   EXPECT_NO_THROW(store.read_block_lines("f", 0));
   EXPECT_EQ(store.verify("f"), meta.blocks);
@@ -104,10 +110,7 @@ TEST_F(BlockStoreTest, ChecksumDetectsCorruptionAndReplicaRecovers) {
 TEST_F(BlockStoreTest, AllReplicasCorruptThrows) {
   auto store = make_store(256, 1);
   store.write_lines("f", numbered_lines(40));
-  {
-    std::ofstream out(root_ / "f" / "block-0.r0", std::ios::binary);
-    out << "garbage";
-  }
+  corrupt_replica("f.r0", 0);
   EXPECT_THROW(store.read_block_lines("f", 0), dias::error);
   EXPECT_LT(store.verify("f"), store.stat("f").blocks);
 }
@@ -204,15 +207,85 @@ TEST_F(BlockStoreTest, WriteBytesAndReaderRoundTrip) {
 TEST_F(BlockStoreTest, ReaderSurfacesCorruptBlock) {
   auto store = make_store(/*block_bytes=*/64);
   store.write_bytes("seg", std::string(300, 'z'));
-  {
-    std::ofstream out(root_ / "seg" / "block-2.r0", std::ios::binary);
-    out << "garbage";
-  }
+  corrupt_replica("seg.r0", 2 * 64);  // block 2
   auto reader = store.open_reader("seg");
   std::string chunk;
   EXPECT_TRUE(reader.next(chunk));  // blocks 0-1 are intact
   EXPECT_TRUE(reader.next(chunk));
   EXPECT_THROW(reader.next(chunk), dias::error);
+}
+
+// A meta file that lies about the data — offsets out of order, an end
+// beyond the data, a cut-off text, an absurd block count — is a typed
+// dias::error on open or on the block it describes, never a read outside
+// the data file or an allocation the file cannot back.
+TEST_F(BlockStoreTest, CorruptMetaIsTypedError) {
+  auto store = make_store(/*block_bytes=*/64);
+  store.write_bytes("seg", std::string(300, 'z'));  // blocks end at 64..256, 300
+  std::vector<std::string> entries;  // "<end> <checksum>" per block
+  std::string header;
+  {
+    std::ifstream in(root_ / "seg.meta");
+    std::getline(in, header);
+    for (std::string line; std::getline(in, line);) entries.push_back(line);
+  }
+  ASSERT_EQ(header, "300 5 0");
+  ASSERT_EQ(entries.size(), 5u);
+  const auto checksum_of = [&](std::size_t b) {
+    return entries[b].substr(entries[b].find(' '));
+  };
+  const auto join = [](const std::string& head, const std::vector<std::string>& lines) {
+    std::string text = head + "\n";
+    for (const auto& l : lines) text += l + "\n";
+    return text;
+  };
+
+  std::vector<std::pair<std::string, std::string>> cases;
+  auto swapped = entries;
+  std::swap(swapped[1], swapped[2]);
+  cases.push_back({"offsets not increasing", join(header, swapped)});
+  auto past_size = entries;
+  past_size[4] = "400" + checksum_of(4);
+  cases.push_back({"end offset past the file size", join(header, past_size)});
+  cases.push_back({"end offset past the data", join("400 5 0", past_size)});
+  const std::string whole = join(header, entries);
+  cases.push_back({"truncated mid-list", whole.substr(0, whole.size() / 2)});
+  cases.push_back({"truncated after the header", join(header, {})});
+  cases.push_back({"truncated header", "300 5"});
+  cases.push_back({"absurd block count", join("300 99999999999999 0", entries)});
+  cases.push_back({"trailing bytes", join(header, entries) + "64 1\n"});
+
+  for (const auto& [label, text] : cases) {
+    SCOPED_TRACE(label);
+    {
+      std::ofstream out(root_ / "seg.meta", std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+    const auto read_all = [&] {
+      auto reader = store.open_reader("seg");
+      std::string chunk;
+      while (reader.next(chunk)) {
+      }
+    };
+    EXPECT_THROW(read_all(), dias::error);
+    EXPECT_THROW(store.read_block_bytes("seg", 4), dias::error);
+  }
+}
+
+// remove() takes every file of a name with it: data replicas and meta,
+// for line files, byte files and released spill segments alike.
+TEST_F(BlockStoreTest, RemoveLeavesRootEmpty) {
+  auto store = make_store(/*block_bytes=*/64, /*replication=*/3);
+  store.write_lines("lines", numbered_lines(20));
+  store.write_bytes("bytes", std::string(200, 'b'));
+  store.write_bytes("empty", "");
+  BlockStoreSpill spill(store);
+  const auto id = spill.write(std::string(150, 's'));
+  EXPECT_EQ(store.list().size(), 4u);
+  spill.release(id);
+  for (const auto& name : store.list()) store.remove(name);
+  EXPECT_TRUE(store.list().empty());
+  EXPECT_TRUE(std::filesystem::is_empty(root_));
 }
 
 // --- spill I/O fault injection (ISSUE 6 satellite 3) -----------------------

@@ -356,6 +356,44 @@ TEST(FlatMapTest, InsertionOrderDedupAndGrowth) {
   EXPECT_EQ(map.size(), 1u);
 }
 
+// Integer keys whose identity hash lines up badly with a power-of-two
+// slot table: a dense range, the same range shifted by the final table
+// size (8192 slots for 5000 keys), and keys differing only above bit 40,
+// which all share their low bits. Every key must be found again, and the
+// entries must keep first-insertion order.
+TEST(FlatMapTest, AdversarialIntegerKeysKeepLookupsAndOrder) {
+  constexpr std::uint64_t kKeys = 5000;
+  const std::vector<std::pair<const char*, std::vector<std::uint64_t>>> cases = [] {
+    std::vector<std::uint64_t> dense;
+    std::vector<std::uint64_t> shifted;
+    std::vector<std::uint64_t> high_bits;
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      dense.push_back(i);
+      shifted.push_back(i + 8192);
+      high_bits.push_back((i + 1) << 40);
+    }
+    return std::vector<std::pair<const char*, std::vector<std::uint64_t>>>{
+        {"dense", dense}, {"shifted", shifted}, {"high_bits", high_bits}};
+  }();
+  for (const auto& [label, keys] : cases) {
+    SCOPED_TRACE(label);
+    detail::FlatMap<std::uint64_t, std::uint64_t> map;
+    for (int round = 0; round < 2; ++round) {
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        bool created = false;
+        std::uint64_t& v = map.find_or_emplace(keys[i], [] { return 0; }, &created);
+        ASSERT_EQ(created, round == 0) << "i=" << i;
+        v += i;
+      }
+    }
+    ASSERT_EQ(map.size(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(map.entries()[i].first, keys[i]);
+      EXPECT_EQ(map.entries()[i].second, 2 * i);
+    }
+  }
+}
+
 // Metamorphic properties (ISSUE 8): transformations of the *configuration*
 // or the *input presentation* that provably preserve the reduced relation
 // must leave the result unchanged. These are the invariants the adaptive

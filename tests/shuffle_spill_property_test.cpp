@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "engine/spill.hpp"
 #include "memory_spill.hpp"
@@ -213,6 +214,87 @@ TEST(ShuffleSpillPropertyTest, SpillCodecRoundTripsStringsAndVectors) {
       cursor, [&](Rec&& r) { decoded.push_back(std::move(r)); });
   EXPECT_EQ(n, entries.size());
   EXPECT_EQ(decoded, entries);
+
+  // Bulk-decoded vectors of doubles, also stitched from 7-byte chunks:
+  // no element boundary lines up with a chunk boundary.
+  using Ranks = std::pair<std::uint64_t, std::vector<double>>;
+  std::vector<Ranks> ranks;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    Ranks r;
+    r.first = i * 977;
+    for (std::uint64_t j = 0; j < i % 6; ++j) {
+      r.second.push_back(1.0 / static_cast<double>(i + j + 1));
+    }
+    ranks.push_back(std::move(r));
+  }
+  ranks.push_back({7, std::vector<double>(detail::kSpillVectorBatch + 3, 0.5)});
+  const auto rid = spill.write(detail::encode_spill_segment(ranks));
+  detail::SpillCursor rank_cursor(spill.open(rid));
+  std::vector<Ranks> rank_decoded;
+  EXPECT_EQ(detail::decode_spill_segment<Ranks>(
+                rank_cursor, [&](Ranks&& r) { rank_decoded.push_back(std::move(r)); }),
+            ranks.size());
+  EXPECT_EQ(rank_decoded, ranks);
+}
+
+// The DSP2 bytes of two fixed segments, pinned by their FNV-1a. The
+// expected values were taken from the element-by-element vector encoder;
+// the bulk encoder must write the same bytes.
+TEST(ShuffleSpillPropertyTest, SpillCodecBytesArePinned) {
+  std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> adjacency;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    std::vector<std::uint32_t> v;
+    for (std::uint32_t j = 0; j < i % 11; ++j) v.push_back(i * 2654435761u + j);
+    adjacency.emplace_back(i * 7919u, std::move(v));
+  }
+  {
+    std::vector<std::uint32_t> v;
+    for (std::uint32_t j = 0; j < 5000; ++j) v.push_back(j * 3u);
+    adjacency.emplace_back(0xFFFFFFFFu, std::move(v));
+  }
+  std::vector<std::pair<std::uint64_t, std::vector<double>>> ranks;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    std::vector<double> v;
+    for (std::uint64_t j = 0; j < i % 13; ++j) {
+      v.push_back(static_cast<double>(i) * 0.25 - static_cast<double>(j) / 3.0);
+    }
+    ranks.emplace_back(i << 33 | i, std::move(v));
+  }
+  {
+    std::vector<double> v;
+    for (std::uint64_t j = 0; j < 4100; ++j) v.push_back(static_cast<double>(j) * 1.5);
+    ranks.emplace_back(~std::uint64_t{0}, std::move(v));
+  }
+  const std::string a = detail::encode_spill_segment(adjacency);
+  const std::string b = detail::encode_spill_segment(ranks);
+  EXPECT_EQ(a.size(), 22044u);
+  EXPECT_EQ(fnv1a(a), 0xb7594c049b19ac7bULL);
+  EXPECT_EQ(b.size(), 36884u);
+  EXPECT_EQ(fnv1a(b), 0x59e2f88b60788b10ULL);
+}
+
+// A vector length prefix far beyond the segment's bytes is a truncated
+// segment, found after at most one decode batch, never a 2^40-element
+// allocation.
+TEST(ShuffleSpillPropertyTest, HugeVectorLengthIsTruncated) {
+  std::string bytes;
+  const auto put = [&bytes](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(detail::kSpillMagic);
+  put(std::uint64_t{1});            // one entry
+  put(std::uint32_t{42});           // its key
+  put(std::uint64_t{1} << 40);      // a vector length the segment cannot hold
+  put(std::uint32_t{7});            // and one element
+  MemorySpill spill;
+  detail::SpillCursor cursor(spill.open(spill.write(bytes)));
+  using Rec = std::pair<std::uint32_t, std::vector<std::uint32_t>>;
+  try {
+    detail::decode_spill_segment<Rec>(cursor, [](Rec&&) {});
+    FAIL() << "expected a truncated segment";
+  } catch (const error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
+  }
 }
 
 // Budget accounting covers worker slots only, so under a finite spill
